@@ -35,8 +35,8 @@ def main() -> None:
     # 2. Configure and run ARDA.  RIFS is the default feature selector; we use
     #    fewer injection rounds here so the example finishes in a few seconds.
     #    The thread executor runs each batch's joins concurrently (results are
-    #    byte-identical to the serial path) and cache_profiles lets repeated
-    #    runs over the same repository skip column re-profiling.
+    #    byte-identical to the serial path), and the repository's profile
+    #    cache lets repeated runs over it skip column re-profiling.
     config = ARDAConfig(
         selector="RIFS",
         selector_options={"n_rounds": 3},
@@ -44,7 +44,6 @@ def main() -> None:
         coreset_strategy="uniform",
         executor="thread",
         n_jobs=4,
-        cache_profiles=True,
         random_state=0,
     )
     report = ARDA(config).augment(dataset)

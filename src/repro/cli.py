@@ -22,9 +22,6 @@ One entrypoint for everything the repository ships operationally:
   each, and score against the plant; failing scenarios serialize JSON repro
   files that ``sweep --replay FILE`` re-runs standalone.
 
-``python -m repro.serve`` and ``python -m repro.repo`` remain as thin
-deprecated shims that forward here.
-
 Examples::
 
     python -m repro inspect model.pipeline

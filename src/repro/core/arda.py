@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -38,15 +39,15 @@ from repro.relational.column import Column
 from repro.relational.encoding import encode_features_binned, to_design_matrix
 from repro.relational.imputation import impute_table
 from repro.relational.join import (
-    StreamingHashJoin,
     StreamJoinStats,
     _output_names,
     as_chunk_source,
-    estimate_source_nbytes,
     iter_grace_left_join,
+    iter_streaming_left_join,
+    needs_spill,
 )
 from repro.relational.persist import write_table_stream
-from repro.relational.schema import CATEGORICAL, NUMERIC
+from repro.relational.schema import NUMERIC
 from repro.relational.table import Table, unique_name
 from repro.selection import make_selector
 from repro.selection.base import default_estimator, holdout_score, infer_task
@@ -97,8 +98,7 @@ class ARDA:
         table files: the pipeline then opens it as a lazy disk-backed
         repository with ``config.lru_tables`` decoded tables kept alive.
 
-        With ``config.pin_snapshot`` on (the default), the whole run reads one
-        pinned manifest generation
+        The whole run reads one pinned manifest generation
         (:meth:`~repro.discovery.repository.DataRepository.snapshot`): a
         concurrent ``replace``/``remove`` on the repository can never hand
         discovery one version of a table and the final materialisation
@@ -124,11 +124,10 @@ class ARDA:
         """
         config = self.config
         start = time.perf_counter()
-        base_source = None
-        if not isinstance(base_table, Table) and hasattr(base_table, "iter_chunks"):
-            base_source = as_chunk_source(base_table)
+        out_of_core = not isinstance(base_table, Table)
+        base_source = as_chunk_source(base_table)
         repository = self._resolve_repository(repository)
-        if config.pin_snapshot and isinstance(repository, DataRepository):
+        if isinstance(repository, DataRepository):
             # the pin is dropped when this snapshot goes out of scope at the
             # end of the call (weakref-finalised), or — if a pipeline capture
             # binds it — when the captured pipeline is dropped
@@ -143,22 +142,16 @@ class ARDA:
         discovery_time = 0.0
         if candidates is None:
             discovery_start = time.perf_counter()
-            discovery = JoinDiscovery(use_cache=config.cache_profiles)
             # sharded profiling: fan per-(table, chunk-range) work over the
             # configured executor backend; rankings are byte-identical to
-            # serial, so this knob changes wall-clock only
-            discovery_jobs = (
-                config.discovery_n_jobs
-                if config.discovery_n_jobs is not None
-                else config.n_jobs
-            )
+            # serial, so the executor changes wall-clock only
             discovery_executor = (
-                make_executor(config.executor, discovery_jobs)
+                make_executor(config.executor, config.n_jobs)
                 if config.executor != "serial"
                 else None
             )
             try:
-                candidates = discovery.discover(
+                candidates = JoinDiscovery().discover(
                     base_table,
                     repository,
                     target=target,
@@ -196,11 +189,10 @@ class ARDA:
 
         # coreset construction
         coreset_start = time.perf_counter()
-        if base_source is not None:
-            coreset = self._build_coreset_streamed(base_source, target)
-        else:
-            coreset = self._build_coreset(base_table, target)
+        coreset = self._build_coreset(base_source, target)
         coreset_time = time.perf_counter() - coreset_start
+        # out of core, scores and the pipeline capture run on the coreset
+        score_base = coreset if out_of_core else base_table
 
         # join plan
         budget = config.budget if config.budget is not None else max(coreset.num_rows, 50)
@@ -328,23 +320,18 @@ class ARDA:
             join_start = time.perf_counter()
             stream_stats: dict[str, StreamJoinStats] | None = None
             out_path: Path | None = None
-            if base_source is not None:
-                augmented_full = self._materialise_kept(
-                    coreset, repository, kept_specs, executor
-                )
+            augmented_full = self._materialise_kept(
+                score_base, repository, kept_specs, executor
+            )
+            if out_of_core:
                 out_path, stream_stats = self._materialise_kept_streamed(
                     base_source, repository, kept_specs, executor, augmented_path
-                )
-            else:
-                augmented_full = self._materialise_kept(
-                    base_table, repository, kept_specs, executor
                 )
             join_time += time.perf_counter() - join_start
         finally:
             executor.shutdown()
 
         fit_start = time.perf_counter()
-        score_base = coreset if base_source is not None else base_table
         base_score = self._final_score(score_base, target, task)
         pipeline = None
         has_features = any(name != target for name in augmented_full.column_names)
@@ -401,7 +388,7 @@ class ARDA:
             fit_time=fit_time,
             executor=executor.name,
             pipeline=pipeline,
-            augmented_path=out_path if base_source is not None else None,
+            augmented_path=out_path,
             stream_stats=stream_stats,
         )
         report.record_metrics()
@@ -456,18 +443,18 @@ class ARDA:
             executor=executor,
         )
 
-    def _build_coreset_streamed(self, source, target: str) -> Table:
-        """Coreset of an out-of-core base without materialising it.
+    def _build_coreset(self, source, target: str) -> Table:
+        """Coreset of the base, given as a chunk source, without materialising it.
 
         The configured coreset builder runs on a two-column skeleton (target
         plus a row-index column), so its sampling decisions — strategy,
-        stratification, RNG stream — are exactly the in-memory builder's; the
-        sampled row indices are then gathered from the chunk source with
-        :meth:`~repro.relational.persist.ChunkedTableReader.take`, which reads
-        only the chunks that hold sampled rows.  Peak memory is one full
-        column (the target) plus the gathered coreset.  ``"none"`` (or a
-        coreset at least as large as the base) has to materialise everything
-        — that is what the caller asked for.
+        stratification, RNG stream — are exactly those it makes on the whole
+        table; the sampled row indices are then gathered with ``take`` (on a
+        chunked reader :meth:`~repro.relational.persist.ChunkedTableReader.take`
+        reads only the chunks that hold sampled rows).  Peak memory is one
+        full column (the target) plus the gathered coreset.  ``"none"`` (or a
+        coreset at least as large as the base) returns the whole base — that
+        is what the caller asked for.
         """
         config = self.config
         size = config.coreset_size or default_coreset_size(source.num_rows)
@@ -502,28 +489,25 @@ class ARDA:
     ) -> tuple[Path | None, dict[str, StreamJoinStats]]:
         """Stream the kept joins over every base chunk into ``augmented_path``.
 
-        Each kept hard join becomes one build-once
-        :class:`~repro.relational.join.StreamingHashJoin`; base chunks are
-        then consumed sequentially, each chunk's zone map is tested against
-        every build side (a chunk that cannot match gets that join's NULL
-        columns without probing), and the kept columns — matched by position
-        within the join's output, renamed to their pinned names, exactly as
-        :func:`~repro.core.join_execution.replay_kept_joins` does — are
-        appended to the chunk before it is written out through
+        Each kept hard join becomes one iterator that yields one output table
+        per base chunk: :func:`~repro.relational.join.iter_streaming_left_join`
+        (build once, zone-map pruning, one chunk in memory), or
+        :func:`~repro.relational.join.iter_grace_left_join` when the build
+        side must spill.  Every build side is first projected to its keys plus
+        the kept output columns (dropped columns are never aggregated or
+        decoded), and a projected build that still exceeds
+        ``config.memory_budget`` (or when ``config.spill_partitions`` forces
+        it) spills.  The iterators advance in lockstep; each kept column is
+        picked from its join's output chunk by output name and renamed to its
+        pinned name, exactly as
+        :func:`~repro.core.join_execution.replay_kept_joins` does, before the
+        chunk is written out through
         :func:`~repro.relational.persist.write_table_stream`.  Concatenating
         the output chunks equals the in-memory replay on ``source.table()``.
 
         A kept *soft* join needs global nearest-neighbour context, so its
         presence falls back to one in-memory replay of the whole base
-        (streamed back out afterwards); hard joins — the common case — keep
-        peak memory at one chunk plus the prepared build sides.  Every build
-        side is first projected to its keys plus the kept output columns
-        (dropped columns are never aggregated or decoded), and a projected
-        build that still exceeds ``config.memory_budget`` (or when
-        ``config.spill_partitions`` forces it) runs as a Grace spill join
-        (:func:`~repro.relational.join.iter_grace_left_join`) advanced in
-        chunk lockstep with the fused loop — identical output, peak heap
-        bounded by one partition.
+        (streamed back out afterwards).
 
         Returns the written path (``None`` when no path was given) and
         per-foreign-table pruning stats.
@@ -551,17 +535,9 @@ class ARDA:
             )
             return augmented_path, stats
 
-        schema = source.schema()
-        num_source_columns = len(schema.names)
-        # ("hash", joiner, ...) probes in the fused chunk loop below;
-        # ("grace", iterator, ...) is a build side too big for the memory
-        # budget, hash-partitioned to spill files and advanced in lockstep
-        # (iter_grace_left_join yields exactly one output table per source
-        # chunk, so the fused loop and the spill joins stay chunk-aligned)
-        joiners: list[tuple[str, object, list[int], list[str], str]] = []
-        force_spill = (
-            config.spill_partitions is not None and config.spill_partitions > 1
-        )
+        base_names = source.schema().names
+        # per kept join: its output-chunk iterator and (output, pinned) names
+        joins: list[tuple[Iterator[Table], list[tuple[str, str]]]] = []
         for candidate, positions, names in kept_specs:
             foreign = repository.get(candidate.foreign_table)
             foreign = foreign.prefix_columns(
@@ -571,17 +547,12 @@ class ARDA:
             right_keys = [pair[1] for pair in key_pairs]
             # project the build side to keys + kept output columns: columns
             # the selector dropped are never aggregated, hashed, or decoded
-            pairs_full = _output_names(foreign, right_keys, schema.names, "_r")
+            pairs_full = _output_names(foreign, right_keys, base_names, "_r")
             kept_right = [pairs_full[position][0] for position in positions]
-            needed = list(dict.fromkeys(list(right_keys) + kept_right))
-            projected = foreign.select(needed)
+            projected = foreign.select(list(dict.fromkeys(right_keys + kept_right)))
             table_stats = stats.setdefault(candidate.foreign_table, StreamJoinStats())
-            build_bytes = estimate_source_nbytes(as_chunk_source(projected))
-            if force_spill or (
-                config.memory_budget is not None
-                and build_bytes > config.memory_budget
-            ):
-                grace = iter_grace_left_join(
+            if needs_spill(projected, config.memory_budget, config.spill_partitions):
+                joined = iter_grace_left_join(
                     source,
                     as_chunk_source(projected, chunk_rows=config.chunk_rows),
                     on=key_pairs,
@@ -590,63 +561,30 @@ class ARDA:
                     spill_dir=config.spill_dir,
                     stats=table_stats,
                 )
-                # kept columns by position inside the grace output chunk:
-                # source columns first, then the projected build's outputs
-                pairs_projected = _output_names(
-                    projected, right_keys, schema.names, "_r"
+            else:
+                joined = iter_streaming_left_join(
+                    source, projected, on=key_pairs, stats=table_stats
                 )
-                projected_order = [pair[0] for pair in pairs_projected]
-                grace_positions = [
-                    num_source_columns + projected_order.index(right_name)
-                    for right_name in kept_right
-                ]
-                joiners.append(
-                    ("grace", grace, grace_positions, names, candidate.foreign_table)
-                )
-                continue
-            joiner = StreamingHashJoin(projected, key_pairs, schema)
-            # positions within the projected joiner's output: its non-key
-            # columns are exactly kept_right, in first-appearance order
-            output_order = [pair[0] for pair in joiner.output]
-            hash_positions = [
-                output_order.index(right_name) for right_name in kept_right
-            ]
-            joiners.append(
-                ("hash", joiner, hash_positions, names, candidate.foreign_table)
+            output_of = dict(_output_names(projected, right_keys, base_names, "_r"))
+            joins.append(
+                (joined, [(output_of[right], name) for right, name in zip(kept_right, names)])
             )
-            table_stats.chunks_total += source.num_chunks
-            table_stats.rows_total += source.num_rows
 
-        def augmented_chunks():
-            for index in range(source.num_chunks):
-                chunk = source.chunk(index)
-                zones = source.zones(index)
-                columns = list(chunk.columns())
-                for kind, engine, positions, names, foreign_name in joiners:
-                    if kind == "grace":
-                        out_chunk = next(engine)
-                        out_columns = out_chunk.columns()
-                        for position, name in zip(positions, names):
-                            columns.append(out_columns[position].rename(name))
-                        continue
-                    joiner = engine
-                    dictionaries = {
-                        key: source.dictionary(key)
-                        for key in joiner.left_keys
-                        if schema.type_of(key) is CATEGORICAL
-                    }
-                    table_stats = stats[foreign_name]
-                    if not joiner.chunk_may_match(zones, dictionaries):
-                        gathered = joiner.null_columns(chunk.num_rows)
-                    else:
-                        match_index = joiner.probe_chunk(chunk)
-                        table_stats.chunks_probed += 1
-                        table_stats.rows_probed += chunk.num_rows
-                        table_stats.rows_matched += int((match_index >= 0).sum())
-                        gathered = joiner.gather(match_index)
-                    for position, name in zip(positions, names):
-                        columns.append(gathered[position].rename(name))
-                yield Table(columns, name=source.name)
+        def augmented_chunks() -> Iterator[Table]:
+            if not joins:
+                yield from source.iter_chunks()
+                return
+            try:
+                for outs in zip(*(joined for joined, _picks in joins)):
+                    columns = [outs[0].column(name) for name in base_names]
+                    for out, (_joined, picks) in zip(outs, joins):
+                        columns.extend(
+                            out.column(output).rename(name) for output, name in picks
+                        )
+                    yield Table(columns, name=source.name)
+            finally:
+                for joined, _picks in joins:
+                    joined.close()  # a spill join removes its files on close
 
         write_table_stream(
             augmented_path,
@@ -656,24 +594,11 @@ class ARDA:
         )
         return augmented_path, stats
 
-    def _build_coreset(self, base_table: Table, target: str) -> Table:
-        config = self.config
-        if config.coreset_strategy == "none":
-            return base_table
-        size = config.coreset_size or default_coreset_size(base_table.num_rows)
-        if size >= base_table.num_rows:
-            return base_table
-        builder = make_coreset_builder(
-            config.coreset_strategy, random_state=config.random_state
-        )
-        return builder.reduce_table(base_table, size, target=target)
-
     def _selector_options(self) -> dict:
         """Selector kwargs from config; RIFS inherits the engine-level knobs.
 
-        Explicit ``selector_options`` always win; the executor kind is shared
-        with the join engine and ``selection_n_jobs`` (falling back to
-        ``n_jobs``) sizes the round fan-out.
+        Explicit ``selector_options`` always win; the executor kind and
+        ``n_jobs`` are shared with the join engine and size the round fan-out.
         """
         config = self.config
         options = dict(config.selector_options)
@@ -686,12 +611,7 @@ class ARDA:
             options.setdefault("max_bins", config.max_bins)
         if key == "rifs":
             options.setdefault("executor", config.executor)
-            options.setdefault(
-                "n_jobs",
-                config.selection_n_jobs
-                if config.selection_n_jobs is not None
-                else config.n_jobs,
-            )
+            options.setdefault("n_jobs", config.n_jobs)
         return options
 
     def _make_selection_estimator(self, task: str):

@@ -18,9 +18,9 @@ class ARDAConfig:
     tie-breaks, categorical imputation, noise injection, tree seeds and
     bootstraps) descends from ``random_state`` via per-component
     ``np.random.default_rng`` / ``SeedSequence.spawn`` streams, and the
-    ``executor`` / ``n_jobs`` / ``selection_n_jobs`` knobs change wall-clock
-    only, never results.  A config instance is never mutated by the pipeline;
-    the same instance can drive concurrent ``ARDA`` objects.
+    ``executor`` / ``n_jobs`` knobs change wall-clock only, never results.
+    A config instance is never mutated by the pipeline; the same instance
+    can drive concurrent ``ARDA`` objects.
 
     Attributes
     ----------
@@ -57,16 +57,15 @@ class ARDAConfig:
         Holdout fraction and seed used for evaluation splits throughout.
     executor:
         ``"serial"`` (default), ``"thread"`` or ``"process"`` backend used to
-        execute the independent joins of each join-plan batch.  All backends
+        execute the independent joins of each join-plan batch, the sharded
+        discovery profiling and the RIFS injection rounds.  All backends
         produce identical results; parallel backends speed up multi-candidate
         batches.
     n_jobs:
-        Worker count for parallel executors; ``None`` or non-positive values
-        use all cores, ``1`` falls back to the serial executor.
-    cache_profiles:
-        Whether join discovery reuses the repository's profile cache
-        (:class:`~repro.discovery.repository.ProfileCache`), so repeated
-        ``augment`` runs over the same repository skip re-profiling.
+        Worker count for parallel executors (joins, discovery profiling,
+        RIFS rounds; an explicit ``selector_options["n_jobs"]`` wins for
+        RIFS); ``None`` or non-positive values use all cores, ``1`` falls
+        back to the serial executor.
     repository_dir:
         Directory of native binary table files to open as a lazy disk-backed
         :class:`~repro.discovery.repository.DataRepository` when
@@ -79,14 +78,6 @@ class ARDAConfig:
         After running join discovery over a disk-backed repository, write the
         profile cache to the repository's sidecar so the next process skips
         profiling entirely.
-    pin_snapshot:
-        Pin one repository manifest generation
-        (:meth:`~repro.discovery.repository.DataRepository.snapshot`) for the
-        whole of ``augment_tables``, so discovery, joining and training all
-        read one consistent ``{table → fingerprint}`` view even while other
-        threads publish new generations.  Disable to read the live repository
-        (pre-snapshot behaviour; only sensible when nothing mutates it
-        concurrently).
     tree_method:
         Split kernel of every tree model the pipeline trains (RIFS' forest
         ranker, holdout estimators, the final estimator): ``"hist"``
@@ -96,11 +87,6 @@ class ARDAConfig:
     max_bins:
         Bin budget per feature for the histogram kernel (2..255; codes are
         uint8).
-    selection_n_jobs:
-        Worker count for parallel feature selection (RIFS injection rounds
-        fanned out over the ``executor`` backend).  ``None`` inherits
-        ``n_jobs``; the executor kind is shared with the join engine, and all
-        backends produce byte-identical selections.
     chunk_rows:
         Row-group target for table files the pipeline writes (repositories it
         opens via ``repository_dir``, streamed augmented outputs): tables
@@ -120,12 +106,6 @@ class ARDAConfig:
         ``ARDA_MEMORY_BUDGET`` environment variable (bytes) when that is
         set.  This bounds the pipeline's working set; it never changes
         results.
-    discovery_n_jobs:
-        Worker count for sharded discovery profiling: repository tables are
-        profiled as per-(table, chunk-range) shards fanned over the
-        ``executor`` backend and merged back into canonical profiles
-        (byte-identical to serial, so candidate rankings never change).
-        ``None`` inherits ``n_jobs``; ``1`` keeps the serial per-table path.
     spill_partitions:
         Explicit Grace spill fan-out for the streaming join's build side.
         ``None`` (default) derives the partition count from the build-side
@@ -163,17 +143,13 @@ class ARDAConfig:
     random_state: int = 0
     executor: str = "serial"
     n_jobs: int | None = None
-    cache_profiles: bool = True
     repository_dir: str | None = None
     lru_tables: int | None = 16
     persist_profiles: bool = True
-    pin_snapshot: bool = True
     tree_method: str | None = None
     max_bins: int = 255
-    selection_n_jobs: int | None = None
     chunk_rows: int | None = None
     memory_budget: int | None = None
-    discovery_n_jobs: int | None = None
     spill_partitions: int | None = None
     spill_dir: str | None = None
     capture_pipeline: bool = True

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 
 from repro.discovery.candidates import JoinCandidate, KeyPair
-from repro.discovery.profiles import ColumnProfile, profile_table, profile_table_chunks
-from repro.discovery.repository import DataRepository
+from repro.discovery.profiles import ColumnProfile, profile_table_chunks
+from repro.discovery.repository import DataRepository, RepositorySnapshot
 from repro.relational.schema import CATEGORICAL, DATETIME
-from repro.relational.table import Table
 
 
 def _name_similarity(a: str, b: str) -> float:
@@ -55,31 +54,31 @@ class JoinDiscovery:
         min_score: float = 0.05,
         num_hashes: int = 64,
         max_candidates_per_table: int = 2,
-        use_cache: bool = True,
     ):
         self.min_score = min_score
         self.num_hashes = num_hashes
         self.max_candidates_per_table = max_candidates_per_table
-        self.use_cache = use_cache
 
     def discover(
         self,
-        base: Table,
-        repository: DataRepository,
+        base,
+        repository: DataRepository | RepositorySnapshot,
         target: str | None = None,
         soft_key_columns: list[str] | None = None,
         executor=None,
     ) -> list[JoinCandidate]:
         """Return candidate joins sorted by descending relevance score.
 
-        ``soft_key_columns`` optionally forces specific base columns (e.g. a
-        timestamp) to be treated as soft keys; datetime columns are treated as
-        soft automatically.
+        ``base`` is a :class:`Table` or a chunked table source; either is
+        profiled chunk by chunk with mergeable states, so an out-of-core base
+        is never materialised.  ``soft_key_columns`` optionally forces
+        specific base columns (e.g. a timestamp) to be treated as soft keys;
+        datetime columns are treated as soft automatically.
 
-        When ``use_cache`` is on (the default) repository columns are profiled
-        through the repository's :class:`~repro.discovery.repository.ProfileCache`,
-        so repeated discovery over the same repository skips re-profiling.  The
-        base table is always profiled fresh (it changes between pipelines).
+        Repository columns are profiled through the repository's
+        :class:`~repro.discovery.repository.ProfileCache`, so repeated
+        discovery over the same repository skips re-profiling.  The base
+        table is always profiled fresh (it changes between pipelines).
 
         ``executor`` (a :class:`~repro.core.executor.JoinExecutor`) shards the
         repository profiling across per-(table, chunk-range) jobs via
@@ -91,41 +90,20 @@ class JoinDiscovery:
         changes wall-clock time.
         """
         soft_set = set(soft_key_columns or ())
-        if isinstance(base, Table):
-            base_profiles = profile_table(base, num_hashes=self.num_hashes)
-        else:
-            # an out-of-core chunked base profiles chunk-by-chunk with
-            # mergeable states; the resulting profiles (and therefore the
-            # candidate scores) are identical to the in-memory path
-            base_profiles = profile_table_chunks(base, num_hashes=self.num_hashes)
+        base_profiles = profile_table_chunks(base, num_hashes=self.num_hashes)
         if target is not None and target in base_profiles:
             del base_profiles[target]
 
         foreign_names = [n for n in repository.table_names if n != base.name]
-        prefetched: dict[str, dict[str, ColumnProfile]] | None = None
-        if (
-            executor is not None
-            and self.use_cache
-            and hasattr(repository, "profiles_many")
-        ):
-            prefetched = repository.profiles_many(
-                foreign_names, num_hashes=self.num_hashes, executor=executor
-            )
+        # served from the profile cache; for a disk-backed repository with a
+        # warm sidecar this never reads a table body
+        profiles = repository.profiles_many(
+            foreign_names, num_hashes=self.num_hashes, executor=executor
+        )
 
         candidates: list[JoinCandidate] = []
         for foreign_table in foreign_names:
-            if prefetched is not None:
-                foreign_profiles = prefetched[foreign_table]
-            elif self.use_cache:
-                # served from the profile cache; for a disk-backed repository
-                # with a warm sidecar this never reads a table body
-                foreign_profiles = repository.profiles(
-                    foreign_table, num_hashes=self.num_hashes
-                )
-            else:
-                foreign_profiles = profile_table(
-                    repository.get(foreign_table), num_hashes=self.num_hashes
-                )
+            foreign_profiles = profiles[foreign_table]
             scored: list[tuple[float, KeyPair]] = []
             for base_name, base_profile in base_profiles.items():
                 for foreign_name, foreign_profile in foreign_profiles.items():

@@ -253,8 +253,10 @@ class ProfileCache:
 
         Sharded discovery uses this to split cache resolution from profile
         computation: tables whose profiles are already cached are answered
-        here, and only the remainder turns into shard jobs.  Counts a hit or
-        miss exactly like the ``get_or_*`` paths.
+        here, and only the remainder turns into shard jobs.  Counts a hit; a
+        miss is counted by whichever path then profiles the table —
+        :meth:`store` for sharded profiles, a ``get_or_*`` lookup for the
+        serial fallback — so every table counts exactly one hit or miss.
         """
         key = (name, num_hashes)
         with self._lock:
@@ -262,7 +264,6 @@ class ProfileCache:
             if entry is not None and entry[1] == fingerprint:
                 self.hits += 1
                 return entry[2]
-            self.misses += 1
             return None
 
     def store(
@@ -276,10 +277,12 @@ class ProfileCache:
 
         The sharded-discovery counterpart of the ``get_or_*`` stores: callers
         merge shard accumulators themselves and store the finished profiles
-        with the fingerprint the file *actually* carried.  Last store wins —
-        profiles are deterministic, so concurrent stores are identical.
+        with the fingerprint the file *actually* carried, which counts the
+        miss they resolve (see :meth:`peek`).  Last store wins — profiles are
+        deterministic, so concurrent stores are identical.
         """
         with self._lock:
+            self.misses += 1
             self._entries[(name, num_hashes)] = (None, fingerprint, profiles)
 
     def invalidate(self, table_name: str | None = None) -> int:
@@ -515,9 +518,12 @@ def _profiles_many(
     whose accumulators merge back — per table, in chunk order — into profiles
     byte-identical to the serial path.  In-memory tables, serial executors,
     and any shard that hits a concurrent republish fall back to the one-table
-    ``serial`` callable.  Shard timings and counts land on the process
-    metrics registry under ``discovery.*``.
+    ``serial`` callable.  Each table counts exactly one cache hit or miss on
+    every path.  Shard timings and counts land on the process metrics
+    registry under ``discovery.*``.
     """
+    if executor is None or executor.n_jobs <= 1:
+        return {name: serial(name) for name in names}
     results: dict[str, dict[str, ColumnProfile]] = {}
     shardable: list[tuple[str, _CatalogEntry]] = []
     for name in names:
@@ -531,10 +537,6 @@ def _profiles_many(
             continue
         shardable.append((name, entry))
     if not shardable:
-        return results
-    if executor is None or executor.n_jobs <= 1:
-        for name, _entry in shardable:
-            results[name] = serial(name)
         return results
 
     jobs = _plan_shards(shardable, executor.n_jobs)

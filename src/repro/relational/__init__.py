@@ -36,7 +36,6 @@ from repro.relational.join import (
     iter_streaming_left_join,
     left_join,
     streaming_left_join,
-    streaming_match_fraction,
 )
 from repro.relational.soft_join import (
     nearest_join,
@@ -89,7 +88,6 @@ __all__ = [
     "left_join",
     "streaming_left_join",
     "iter_streaming_left_join",
-    "streaming_match_fraction",
     "as_chunk_source",
     "StreamingHashJoin",
     "StreamJoinStats",

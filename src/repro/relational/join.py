@@ -4,17 +4,18 @@ Only LEFT joins are implemented because they are the only join type suitable
 for data augmentation: every base-table row (training example) is preserved and
 unmatched rows get NULLs, which are later imputed (paper section 4, "Joins").
 
-Besides the whole-table :func:`left_join`, this module provides the
-out-of-core path: :class:`StreamingHashJoin` prepares the (small) build side
-once — pre-aggregation, output naming, per-key value ranges — and probes the
-(large) base table one row group at a time through a
-:class:`~repro.relational.persist.ChunkedTableReader`.  Chunks whose zone map
-cannot intersect the build side's key range are **pruned**: their probe and
-gather are skipped entirely and they contribute all-NULL augmented columns,
-which is exactly what the full probe would have produced (a LEFT join keeps
-every base row, so pruning a chunk removes work, never rows).  Because each
-chunk is probed with the same kernels as the in-memory join and the outputs
-are concatenated in chunk order, :func:`streaming_left_join` is equivalent to
+One build-once probe-many join drives every path: :class:`StreamingHashJoin`
+prepares the (small) build side once — pre-aggregation, output naming — and
+joins the (large) base table one row group at a time.  :func:`left_join` is
+its one-chunk case: an in-memory :class:`Table` is joined as a single chunk.
+:func:`iter_streaming_left_join` streams a
+:class:`~repro.relational.persist.ChunkedTableReader` through it; chunks whose
+zone map cannot intersect the build side's key range are **pruned**: their
+probe and gather are skipped entirely and they contribute all-NULL augmented
+columns, which is exactly what the full probe would have produced (a LEFT
+join keeps every base row, so pruning a chunk removes work, never rows).
+Because every chunk is probed with the same kernels and the outputs are
+concatenated in chunk order, :func:`streaming_left_join` is equivalent to
 ``left_join`` row for row, while peak memory stays bounded by a chunk wave
 (``memory_budget``) instead of the base table.  Independent chunks of one
 join fan out across any :class:`~repro.core.executor.JoinExecutor` backend.
@@ -38,15 +39,23 @@ import shutil
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from hashlib import blake2b
 from pathlib import Path
 from queue import Queue
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.relational.aggregate import group_by_aggregate, is_unique_on
 from repro.relational.column import Column, remap_dictionary
+from repro.relational.persist import (
+    DEFAULT_STREAM_CHUNK_ROWS,
+    _concat_parts,
+    open_chunks,
+    read_table,
+    write_table_stream,
+)
 from repro.relational.schema import CATEGORICAL, NUMERIC, Schema
 from repro.relational.table import Table, unique_name
 
@@ -203,29 +212,19 @@ def left_join(
 
     The right key columns themselves are not copied into the output (the left
     key already carries that information).  Other right columns that clash
-    with left column names get ``suffix`` appended.
+    with left column names get ``suffix`` appended.  This is the one-chunk
+    case of :class:`StreamingHashJoin`: ``left`` is joined as a single chunk.
     """
-    if not on:
-        raise ValueError("left_join requires at least one key pair")
-    left_keys = [pair[0] for pair in on]
-    right_keys = [pair[1] for pair in on]
-    for key in left_keys:
-        left.column(key)
-    right = _prepare_right(
-        right, right_keys, aggregate_duplicates, numeric_agg, categorical_agg
+    joiner = StreamingHashJoin(
+        right,
+        on,
+        left.schema(),
+        suffix=suffix,
+        aggregate_duplicates=aggregate_duplicates,
+        numeric_agg=numeric_agg,
+        categorical_agg=categorical_agg,
     )
-
-    right_key_columns = [right.column(k) for k in right_keys]
-    left_key_columns = [left.column(k) for k in left_keys]
-    match_index = _match_first_occurrence(left_key_columns, right_key_columns)
-    matched = match_index >= 0
-
-    out_columns = list(left.columns())
-    for right_name, out_name in _output_names(right, right_keys, left.column_names, suffix):
-        out_columns.append(
-            _gather_right_column(right.column(right_name), out_name, match_index, matched)
-        )
-    return Table(out_columns, name=left.name)
+    return joiner.join_chunk(left)
 
 
 def _prepare_right(
@@ -283,22 +282,6 @@ def _gather_right_column(
     if matched.any():
         out[matched] = col.values[match_index[matched]]
     return Column.from_array(name, out, col.ctype)
-
-
-def join_match_fraction(
-    left: Table, right: Table, on: Sequence[tuple[str, str]]
-) -> float:
-    """Fraction of left rows whose key tuple appears in the right table.
-
-    Used by the join-discovery scorer as a cheap intersection score.
-    """
-    if not on or left.num_rows == 0:
-        return 0.0
-    match_index = _match_first_occurrence(
-        [left.column(pair[0]) for pair in on],
-        [right.column(pair[1]) for pair in on],
-    )
-    return float(np.mean(match_index >= 0))
 
 
 # -- streaming, pruned, chunk-parallel join -----------------------------------
@@ -593,16 +576,20 @@ def build_key_ranges(key_columns: Sequence[Column]) -> list[tuple]:
     return ranges
 
 
-def _pruned_flags(source, pruner: KeyRangePruner, prune: bool) -> list[bool]:
+def _pruned_flags(
+    source, make_pruner: Callable[[], KeyRangePruner], prune: bool
+) -> list[bool]:
     """Per-chunk "provably cannot match" flags for one source.
 
-    Combines the sorted binary-search window (when the source is
-    sort-ordered on a numeric key) with the per-chunk zone checks; without a
-    window this is exactly the previous linear zone scan.
+    A source without zone maps (an in-memory table, a monolithic file) is
+    never pruned, and ``make_pruner`` is only called when there are zones to
+    check.  Combines the sorted binary-search window (when the source is
+    sort-ordered on a numeric key) with the per-chunk zone checks.
     """
     n = source.num_chunks
-    if not prune:
+    if not prune or not source.has_zones:
         return [False] * n
+    pruner = make_pruner()
     window = pruner.sorted_window(source)
     dictionaries = {key: source.dictionary(key) for key in pruner.cat_keys}
     flags: list[bool] = []
@@ -619,12 +606,13 @@ class StreamingHashJoin:
     """Build-once probe-many LEFT join against one prepared right table.
 
     The constructor does all the per-join work that must happen exactly once:
-    right-side validation and pre-aggregation, output-column naming against
-    the left schema (identical to :func:`left_join`'s assignment), and the
-    build side's per-key value ranges used for zone-map pruning.  Each
-    :meth:`probe_chunk` / :meth:`join_chunk` call then handles one base chunk
-    independently — the object is picklable, so chunks can fan out across
-    process pools with the build side shipped once per worker.
+    right-side validation and pre-aggregation, and output-column naming
+    against the left schema.  Each :meth:`probe_chunk` / :meth:`join_chunk`
+    call then handles one base chunk independently — :func:`left_join` is the
+    one-chunk case — and the object is picklable, so chunks can fan out across
+    process pools with the build side shipped once per worker.  The build
+    side's per-key value ranges (:attr:`pruner`) are computed on first use,
+    which only a source with zone maps ever asks for.
     """
 
     right: Table
@@ -638,7 +626,7 @@ class StreamingHashJoin:
 
     def __post_init__(self):
         if not self.on:
-            raise ValueError("StreamingHashJoin requires at least one key pair")
+            raise ValueError("a LEFT join requires at least one key pair")
         self.on = [(left, right) for left, right in self.on]
         self.left_keys = [pair[0] for pair in self.on]
         self.right_keys = [pair[1] for pair in self.on]
@@ -656,11 +644,15 @@ class StreamingHashJoin:
         self.output = _output_names(
             self.right, self.right_keys, self.left_schema.names, self.suffix
         )
-        # build-side key ranges for zone pruning: numeric keys keep (min, max)
-        # over valid values; categorical keys keep their distinct strings (a
-        # chunk's code zone is translated through the base dictionary at prune
-        # time).  An empty range means no base row can ever match.
-        self.pruner = KeyRangePruner(
+
+    @cached_property
+    def pruner(self) -> KeyRangePruner:
+        """Zone-map pruning against the build side's key ranges: numeric keys
+        keep (min, max) over valid values; categorical keys keep their
+        distinct strings (a chunk's code zone is translated through the base
+        dictionary at prune time).  An empty range means no base row can ever
+        match."""
+        return KeyRangePruner(
             self.on, self.left_schema, build_key_ranges(self.right_key_columns)
         )
 
@@ -668,12 +660,6 @@ class StreamingHashJoin:
     def output_names(self) -> list[str]:
         """Names of the augmented columns this join adds, in output order."""
         return [name for _right_name, name in self.output]
-
-    # -- zone pruning ----------------------------------------------------------
-
-    def chunk_may_match(self, zones, dictionaries) -> bool:
-        """See :meth:`KeyRangePruner.chunk_may_match` (delegated)."""
-        return self.pruner.chunk_may_match(zones, dictionaries)
 
     # -- per-chunk kernels -----------------------------------------------------
 
@@ -700,12 +686,9 @@ class StreamingHashJoin:
         match_index = np.full(num_rows, -1, dtype=np.int64)
         return self.gather(match_index)
 
-    def join_chunk(self, chunk: Table, pruned: bool = False) -> Table:
+    def join_chunk(self, chunk: Table) -> Table:
         """One chunk's slice of the full LEFT-join output."""
-        if pruned:
-            gathered = self.null_columns(chunk.num_rows)
-        else:
-            gathered = self.gather(self.probe_chunk(chunk))
+        gathered = self.gather(self.probe_chunk(chunk))
         return Table(list(chunk.columns()) + gathered, name=chunk.name)
 
 
@@ -721,8 +704,6 @@ def _resolve_worker_source(source_ref):
     key = (path, mmap)
     reader = _WORKER_SOURCES.get(key)
     if reader is None:
-        from repro.relational.persist import open_chunks
-
         reader = open_chunks(path, mmap=mmap)
         _WORKER_SOURCES[key] = reader
     return reader
@@ -778,6 +759,15 @@ def estimate_source_nbytes(source) -> int:
     return sum(source.chunk_nbytes(index) for index in range(source.num_chunks))
 
 
+def needs_spill(right, memory_budget: int | None, spill_partitions: int | None) -> bool:
+    """Whether a join against build side ``right`` runs in Grace spill mode:
+    an explicit ``spill_partitions > 1`` forces it, otherwise a build side
+    estimated above ``memory_budget`` bytes spills."""
+    if spill_partitions is not None and spill_partitions > 1:
+        return True
+    return memory_budget is not None and estimate_source_nbytes(right) > memory_budget
+
+
 def iter_streaming_left_join(
     source,
     right,
@@ -811,10 +801,7 @@ def iter_streaming_left_join(
     right, on)`` row for row; pass ``stats`` to collect pruning accounting.
     """
     source = as_chunk_source(source)
-    spill = spill_partitions is not None and spill_partitions > 1
-    if not spill and memory_budget is not None:
-        spill = estimate_source_nbytes(right) > memory_budget
-    if spill:
+    if needs_spill(right, memory_budget, spill_partitions):
         yield from iter_grace_left_join(
             source,
             right,
@@ -846,7 +833,7 @@ def iter_streaming_left_join(
     stats.chunks_total += source.num_chunks
     stats.rows_total += source.num_rows
 
-    pruned = _pruned_flags(source, joiner.pruner, prune)
+    pruned = _pruned_flags(source, lambda: joiner.pruner, prune)
 
     extra_row_bytes = 8 * (len(joiner.output) + 2 * len(joiner.on))
     costs = []
@@ -928,15 +915,7 @@ def streaming_left_join(
             spill_dir=spill_dir,
         )
     )
-    if len(parts) == 1:
-        return parts[0], stats
-    from repro.relational.column import concat_columns
-
-    columns = [
-        concat_columns([part.column(name) for part in parts])
-        for name in parts[0].column_names
-    ]
-    return Table(columns, name=parts[0].name), stats
+    return _concat_parts(parts), stats
 
 
 # -- Grace-partitioned spill join ---------------------------------------------
@@ -1040,8 +1019,6 @@ class _PartitionSpiller:
         queue.put(part)
 
     def _writer(self, partition: int) -> None:
-        from repro.relational.persist import write_table_stream
-
         queue = self._queues[partition]
         try:
             self.headers[partition] = write_table_stream(
@@ -1106,8 +1083,6 @@ class _SpillOutputCursor:
     """
 
     def __init__(self, path: Path, rowid: str):
-        from repro.relational.persist import open_chunks
-
         self._reader = open_chunks(path, mmap=False)
         self._rowid = rowid
         self._iter = self._reader.iter_chunks()
@@ -1179,13 +1154,6 @@ def iter_grace_left_join(
     (default: the system temp dir) and are removed before the iterator is
     exhausted.
     """
-    from repro.relational.persist import (
-        DEFAULT_STREAM_CHUNK_ROWS,
-        open_chunks,
-        read_table,
-        write_table_stream,
-    )
-
     if not on:
         raise ValueError("grace join requires at least one key pair")
     source = as_chunk_source(source)
@@ -1269,8 +1237,9 @@ def iter_grace_left_join(
                 ranges.append(("num", num_lo[pos], num_hi[pos]))
             else:
                 ranges.append(("num-empty",))
-        pruner = KeyRangePruner(on, left_schema, ranges)
-        pruned = _pruned_flags(source, pruner, prune)
+        pruned = _pruned_flags(
+            source, lambda: KeyRangePruner(on, left_schema, ranges), prune
+        )
 
         # -- phase 2: partition the left side's keys + row ids ----------------
         left_key_names = list(dict.fromkeys(left_keys))
@@ -1484,43 +1453,4 @@ def grace_left_join(
             stats=stats,
         )
     )
-    if len(parts) == 1:
-        return parts[0], stats
-    from repro.relational.column import concat_columns
-
-    columns = [
-        concat_columns([part.column(name) for part in parts])
-        for name in parts[0].column_names
-    ]
-    return Table(columns, name=parts[0].name), stats
-
-
-def streaming_match_fraction(
-    source, right: Table, on: Sequence[tuple[str, str]]
-) -> tuple[float, StreamJoinStats]:
-    """Out-of-core :func:`join_match_fraction` with full chunk skipping.
-
-    Reads only the key columns of chunks that survive zone pruning; a pruned
-    chunk contributes zero matches without touching a single page.
-    """
-    source = as_chunk_source(source)
-    stats = StreamJoinStats(chunks_total=source.num_chunks, rows_total=source.num_rows)
-    if not on or source.num_rows == 0:
-        return 0.0, stats
-    # only key membership matters here: project the build side to its key
-    # columns before hashing, so wide right tables cost keys-only memory
-    right_keys = list(dict.fromkeys(pair[1] for pair in on))
-    right = right.select(right_keys)
-    joiner = StreamingHashJoin(right, on, source.schema(), aggregate_duplicates=False)
-    pruned = _pruned_flags(source, joiner.pruner, prune=True)
-    matched = 0
-    for index in range(source.num_chunks):
-        if pruned[index]:
-            continue
-        chunk = source.chunk(index, columns=joiner.left_keys)
-        match_index = joiner.probe_chunk(chunk)
-        matched += int((match_index >= 0).sum())
-        stats.chunks_probed += 1
-        stats.rows_probed += chunk.num_rows
-    stats.rows_matched = matched
-    return matched / source.num_rows, stats
+    return _concat_parts(parts), stats

@@ -100,7 +100,7 @@ def read_artifact_header(path: str | Path) -> dict:
     """Read and validate only the JSON header of an artifact.
 
     Returns the full header document (``doc`` + ``pages`` metadata) without
-    touching any page — the cost of ``python -m repro.serve inspect``.
+    touching any page — the cost of ``python -m repro inspect``.
     """
     path = Path(path)
     with path.open("rb") as handle:

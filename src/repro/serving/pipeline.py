@@ -55,6 +55,7 @@ from repro.discovery.repository import DataRepository, RepositorySnapshot
 from repro.ml.persistence import estimator_from_state, estimator_to_state
 from repro.relational.encoding import ColumnEncoderState, FittedEncoder
 from repro.relational.imputation import ColumnImputeState, FittedImputer
+from repro.relational.join import as_chunk_source
 from repro.relational.persist import table_fingerprint
 from repro.relational.schema import CATEGORICAL, ColumnType
 from repro.relational.table import Table
@@ -187,7 +188,7 @@ class FittedPipeline:
         return [name for name in self.base_columns if name != self.target]
 
     def summary(self) -> dict:
-        """Compact description used by ``python -m repro.serve inspect``."""
+        """Compact description used by ``python -m repro inspect``."""
         return {
             "target": self.target,
             "task": self.task,
@@ -353,9 +354,7 @@ class FittedPipeline:
         (the output matrix is whole anyway); use :meth:`iter_transform` to
         keep the input out-of-core.
         """
-        if not isinstance(rows, Table) and hasattr(rows, "iter_chunks"):
-            rows = rows.table()
-        base = self._check_rows(rows)
+        base = self._check_rows(as_chunk_source(rows).table())
         if self.joins:
             repo = self._resolve_repository(repository)
             owns_executor = isinstance(executor, str)
@@ -400,45 +399,30 @@ class FittedPipeline:
         (:class:`~repro.relational.persist.ChunkedTableReader`, anything with
         ``iter_chunks``): row groups then stream straight off the file —
         sub-batched to ``batch_rows`` — so an out-of-core table transforms
-        under a one-chunk memory bound without ever materialising.
+        under a one-chunk memory bound without ever materialising.  A
+        :class:`Table` is the one-chunk case.
         """
         if batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
+        source = as_chunk_source(rows)
         owns_executor = isinstance(executor, str) and bool(self.joins)
         pool = make_executor(executor, n_jobs) if owns_executor else executor
         try:
-            if not isinstance(rows, Table) and hasattr(rows, "iter_chunks"):
-                empty = True
-                for chunk in rows.iter_chunks():
-                    for start in range(0, chunk.num_rows, batch_rows):
-                        stop = min(start + batch_rows, chunk.num_rows)
-                        empty = False
-                        yield self.transform(
-                            chunk.take(np.arange(start, stop)),
-                            repository=repository,
-                            executor=pool,
-                            n_jobs=n_jobs,
-                        )
-                if empty:
+            empty = True
+            for chunk in source.iter_chunks():
+                for start in range(0, chunk.num_rows, batch_rows):
+                    stop = min(start + batch_rows, chunk.num_rows)
+                    empty = False
                     yield self.transform(
-                        rows.table(),
+                        chunk.take(np.arange(start, stop)),
                         repository=repository,
                         executor=pool,
                         n_jobs=n_jobs,
                     )
-                return
-            n = rows.num_rows
-            for start in range(0, n, batch_rows):
-                stop = min(start + batch_rows, n)
+            if empty:
+                # no rows: one empty design matrix with the feature layout
                 yield self.transform(
-                    rows.take(np.arange(start, stop)),
-                    repository=repository,
-                    executor=pool,
-                    n_jobs=n_jobs,
-                )
-            if n == 0:
-                yield self.transform(
-                    rows, repository=repository, executor=pool, n_jobs=n_jobs
+                    source.table(), repository=repository, executor=pool, n_jobs=n_jobs
                 )
         finally:
             if owns_executor:

@@ -305,7 +305,7 @@ class TestParallelDeterminism:
         serial = ARDA(ARDAConfig(selector_options={"n_rounds": 2})).augment(dataset)
         threaded = ARDA(
             ARDAConfig(
-                executor="thread", n_jobs=2, selection_n_jobs=2,
+                executor="thread", n_jobs=2,
                 selector_options={"n_rounds": 2},
             )
         ).augment(dataset)

@@ -249,17 +249,42 @@ class TestProfileCache:
         assert repo.profile_cache.misses == misses
         assert repo.profile_cache.hits == len(repo)
 
-    def test_discovery_can_bypass_cache(self):
-        repo = _repo_with(2)
-        base = Table.from_dict(
-            {
-                "entity_id": np.arange(40, dtype=np.float64),
-                "target": np.arange(40, dtype=np.float64),
-            },
-            name="base",
-        )
-        JoinDiscovery(use_cache=False).discover(base, repo, target="target")
-        assert repo.profile_cache.stats()["misses"] == 0
+    @staticmethod
+    def _cold_disk_repository(tmp_path, n_tables=3):
+        disk = DataRepository.open(tmp_path, load_profiles=False)
+        memory = _repo_with(n_tables)
+        for name in memory.table_names:
+            disk.add(memory.get(name))
+        return DataRepository.open(tmp_path, load_profiles=False)
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_profiles_many_counts_each_table_once(self, tmp_path, workers):
+        # serial fallback (no executor, one worker) and sharded profiling
+        # alike: one miss per cold table, then one hit per warm one
+        repo = self._cold_disk_repository(tmp_path)
+        executor = make_executor("thread", workers) if workers else None
+        try:
+            repo.profiles_many(executor=executor)
+            assert (repo.profile_cache.misses, repo.profile_cache.hits) == (3, 0)
+            repo.profiles_many(executor=executor)
+            assert (repo.profile_cache.misses, repo.profile_cache.hits) == (3, 3)
+        finally:
+            if executor is not None:
+                executor.shutdown()
+
+    def test_profiles_many_torn_read_fallback_counts_each_table_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.discovery.repository as repository_module
+
+        # every shard reports a concurrent republish: each table falls back
+        # to the serial path, which must not count its miss a second time
+        monkeypatch.setattr(repository_module, "_profile_shard_job", lambda shared, item: None)
+        repo = self._cold_disk_repository(tmp_path)
+        with make_executor("thread", 2) as executor:
+            profiles = repo.profiles_many(executor=executor)
+        assert set(profiles) == set(repo.table_names)
+        assert (repo.profile_cache.misses, repo.profile_cache.hits) == (3, 0)
 
     def test_standalone_cache_identity_guard(self):
         cache = ProfileCache()
@@ -287,19 +312,6 @@ class TestARDACacheReuse:
         stats = repository.profile_cache.stats()
         assert stats["misses"] == len(repository)  # no re-profiling
         assert stats["hits"] == len(repository)
-
-    def test_cache_profiles_false_bypasses_cache(self, small_dataset):
-        repository = DataRepository(list(small_dataset.repository))
-        config = ARDAConfig(
-            selector="random forest", coreset_size=150, random_state=0,
-            cache_profiles=False,
-        )
-        ARDA(config).augment_tables(
-            small_dataset.base_table, repository, target="target", task="regression"
-        )
-        assert repository.profile_cache.stats() == {
-            "entries": 0, "hits": 0, "misses": 0, "invalidations": 0,
-        }
 
 
 class TestFinalMaterialisation:

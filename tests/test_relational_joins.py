@@ -16,7 +16,7 @@ from repro.relational import (
 from repro.relational.aggregate import is_unique_on
 from repro.relational.encoding import encode_features, encode_target, to_design_matrix
 from repro.relational.imputation import missing_fraction
-from repro.relational.join import join_match_fraction
+from repro.relational.join import StreamingHashJoin
 from repro.relational.resample import align_time_granularity, infer_granularity
 from repro.relational.schema import DATETIME
 
@@ -74,7 +74,10 @@ class TestLeftJoin:
             left_join(base_table, foreign_table, on=[])
 
     def test_match_fraction(self, base_table, foreign_table):
-        fraction = join_match_fraction(base_table, foreign_table, [("entity_id", "entity_id")])
+        joiner = StreamingHashJoin(
+            foreign_table, [("entity_id", "entity_id")], base_table.schema()
+        )
+        fraction = np.mean(joiner.probe_chunk(base_table) >= 0)
         assert fraction == pytest.approx(3 / 6)
 
 

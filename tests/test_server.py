@@ -12,8 +12,7 @@ Covers the serving-server acceptance surface:
 * graceful shutdown: every admitted request gets its response;
 * HTTP error surface: 400/404/413/503 with JSON bodies, ``/healthz`` and
   ``/metrics`` content;
-* the unified ``python -m repro`` CLI, the deprecated
-  ``repro.serve``/``repro.repo`` shims, and content-based row-file dispatch;
+* the unified ``python -m repro`` CLI and content-based row-file dispatch;
 * the :mod:`repro.observability` registry and the migrated subsystem
   counters.
 """
@@ -37,8 +36,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import repro.repo as repo_shim
-import repro.serve as serve_shim
 from repro.cli import _load_rows, main as cli_main
 from repro.core import ARDA, ARDAConfig, ServingConfig
 from repro.core.results import AugmentationReport
@@ -592,14 +589,6 @@ class TestUnifiedCLI:
         )
         assert "-> " in capsys.readouterr().out
         assert cli_main(["repo", "rechunk", str(mutable_copy.lake)]) == 2
-
-    def test_deprecated_shims_warn_and_forward(self, trained, capsys):
-        with pytest.warns(DeprecationWarning, match="python -m repro"):
-            assert serve_shim.main(["inspect", str(trained.artifact)]) == 0
-        capsys.readouterr()
-        with pytest.warns(DeprecationWarning, match="python -m repro repo"):
-            assert repo_shim.main(["stat", str(trained.lake)]) == 0
-        assert "bytes read" in capsys.readouterr().out
 
     def test_server_subcommand_serves_and_drains_on_sigint(self, trained):
         env = dict(os.environ, PYTHONPATH=SRC_DIR)

@@ -1,7 +1,7 @@
 """Docs gate: link-check, API-coverage check and README snippet runner.
 
 Run from the repository root (CI's ``docs`` job, or locally with
-``PYTHONPATH=src python tools/check_docs.py``).  Three checks, all of which
+``PYTHONPATH=src python tools/check_docs.py``).  Four checks, all of which
 must pass:
 
 1. **Links** — every markdown link in ``README.md``, ``docs/*.md`` and
@@ -13,7 +13,11 @@ must pass:
    ``selection``, ``serving``, ``observability``, ``datasets`` and
    ``datasets.sqlgen``) appears in ``docs/API.md`` as a backticked code
    token, so the reference cannot silently fall behind the code.
-3. **README snippets** — every fenced ```` ```python ```` block in
+3. **Knob tables** — the ``ARDAConfig``, ``ServingConfig`` and
+   ``SweepConfig`` tables in ``docs/API.md`` match the dataclasses in both
+   directions: every ``field`` (``default``) entry names an existing field
+   with exactly that default, and every field has an entry.
+4. **README snippets** — every fenced ```` ```python ```` block in
    ``README.md`` is executed verbatim, in order, in one shared namespace
    inside a temporary working directory.  The quickstart cannot rot.
 """
@@ -42,7 +46,15 @@ SUBSYSTEMS = [
     "repro.datasets.sqlgen",
 ]
 
+# config dataclass -> the API.md heading of its knob table
+KNOB_TABLES = {
+    "ARDAConfig": "## Configuration (`ARDAConfig`)",
+    "ServingConfig": "## Serving configuration (`ServingConfig`)",
+    "SweepConfig": "## Sweep configuration (`SweepConfig`)",
+}
+
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_KNOB_RE = re.compile(r"`(\w+)` \(`([^`]*)`\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 
 
@@ -138,6 +150,51 @@ def check_api_coverage() -> list[str]:
     return failures
 
 
+def check_knob_tables() -> list[str]:
+    """Every knob-table entry names a field with its default; every field has one."""
+    import ast
+    import dataclasses
+
+    from repro.core import config
+
+    lines = API_REFERENCE.read_text(encoding="utf-8").splitlines()
+    failures: list[str] = []
+    for class_name, heading in KNOB_TABLES.items():
+        if heading not in lines:
+            failures.append(f"docs/API.md has no {heading!r} section")
+            continue
+        documented: dict[str, str] = {}
+        for line in lines[lines.index(heading) + 1:]:
+            if line.startswith("## "):
+                break
+            if line.startswith("| `"):
+                documented.update(_KNOB_RE.findall(line.split("|")[1]))
+        fields = {f.name: f for f in dataclasses.fields(getattr(config, class_name))}
+        for name, text in documented.items():
+            spec = fields.get(name)
+            if spec is None:
+                failures.append(f"docs/API.md: {class_name} has no field `{name}`")
+                continue
+            default = (
+                spec.default_factory()
+                if spec.default is dataclasses.MISSING
+                else spec.default
+            )
+            try:
+                value = ast.literal_eval(text)
+            except (ValueError, SyntaxError):
+                value = text
+            if value != default or type(value) is not type(default):
+                failures.append(
+                    f"docs/API.md: {class_name}.{name} defaults to {default!r}, "
+                    f"documented as `{text}`"
+                )
+        for name in fields:
+            if name not in documented:
+                failures.append(f"docs/API.md: {class_name}.{name} has no knob-table entry")
+    return failures
+
+
 def run_readme_snippets() -> list[str]:
     """Execute every ```python block of README.md in one shared namespace."""
     readme = ROOT / "README.md"
@@ -183,6 +240,8 @@ def main() -> int:
     failures += check_links()
     print("checking docs/API.md coverage of subsystem exports ...")
     failures += check_api_coverage()
+    print("checking docs/API.md knob tables against the config dataclasses ...")
+    failures += check_knob_tables()
     print("running README.md python snippets ...")
     failures += run_readme_snippets()
     if failures:
@@ -190,7 +249,10 @@ def main() -> int:
         for failure in failures:
             print(f"  - {failure}")
         return 1
-    print("docs ok: links resolve, API reference covers all exports, snippets run")
+    print(
+        "docs ok: links resolve, API reference covers all exports, "
+        "knob tables match the config dataclasses, snippets run"
+    )
     return 0
 
 
