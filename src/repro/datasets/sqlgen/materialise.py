@@ -29,7 +29,6 @@ from repro.datasets.sqlgen.spec import ColumnSpec, ScenarioSpec, TableSpec
 from repro.discovery.candidates import JoinCandidate, KeyPair
 from repro.discovery.repository import DataRepository
 from repro.relational.column import Column
-from repro.relational.persist import table_fingerprint
 from repro.relational.table import Table
 
 __all__ = [
@@ -234,13 +233,9 @@ def repository_fingerprint(repository: DataRepository) -> str:
     """
     digest = hashlib.blake2b(digest_size=16)
     for name in sorted(repository.table_names):
-        try:
-            fingerprint = repository.header(name).fingerprint
-        except KeyError:  # in-memory table: fingerprint the decoded content
-            fingerprint = table_fingerprint(repository.get(name))
         digest.update(name.encode("utf-8"))
         digest.update(b"\x00")
-        digest.update(fingerprint.encode("utf-8"))
+        digest.update(repository.fingerprint(name).encode("utf-8"))
         digest.update(b"\x00")
     return digest.hexdigest()
 

@@ -195,11 +195,14 @@ class ColumnProfileAccumulator:
                 grown[: len(self._first_row)] = self._first_row
                 self._first_row = grown
             codes = translate[column.codes]
-            present = codes[codes >= 0]
-            if not len(present):
+            rows = np.flatnonzero(codes >= 0)
+            if not len(rows):
                 return
-            distinct, first_seen = np.unique(present, return_index=True)
-            global_first = first_seen + row_start
+            # first row of each shared code in this chunk: one O(rows) pass
+            first_seen = np.full(len(self._dict_index), len(codes), dtype=np.int64)
+            np.minimum.at(first_seen, codes[rows], rows)
+            distinct = np.flatnonzero(first_seen < len(codes))
+            global_first = first_seen[distinct] + row_start
             current = self._first_row[distinct]
             unseen = current < 0
             self._first_row[distinct[unseen]] = global_first[unseen]
@@ -258,8 +261,9 @@ class ColumnProfileAccumulator:
             elif len(other._distinct):
                 self._distinct = np.union1d(self._distinct, other._distinct)
 
-    def distinct_values(self) -> list:
-        """The merged distinct values, ordered as ``Column.unique`` would."""
+    def distinct_values(self) -> list | np.ndarray:
+        """The merged distinct values, ordered as ``Column.unique`` would
+        (a list for categoricals, the sorted array for numeric columns)."""
         if self.ctype is CATEGORICAL:
             dictionary = np.empty(len(self._dict_index), dtype=object)
             for text, code in self._dict_index.items():
@@ -269,7 +273,7 @@ class ColumnProfileAccumulator:
             return [dictionary[code] for code in seen[order]]
         if self._distinct is None:
             return []
-        return list(self._distinct)
+        return self._distinct
 
     def finish(self) -> ColumnProfile:
         """Emit the profile of everything folded in so far."""

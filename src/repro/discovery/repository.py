@@ -1,14 +1,15 @@
 """The repository of named tables (the "data lake"): in-memory or disk-backed.
 
-A :class:`DataRepository` can hold its tables fully decoded in RAM (the
-original behaviour, still what ``DataRepository(tables)`` gives you) or be
-opened over a directory of native binary table files
-(:meth:`DataRepository.open`).  A disk-backed repository builds its catalog
-from file *headers* only — names, schemas, row counts, content fingerprints —
-and materialises tables lazily on first :meth:`get`, memory-mapped so even a
-"loaded" table only pages in the columns that are actually read.  Decoded
-tables are kept alive in a small LRU so hot candidates stay warm while a
-100-table repository never holds 100 decoded tables.
+A :class:`DataRepository` is one *catalog* of named tables.  Each catalog
+entry carries the table's content fingerprint and either a table file (path
++ header) or, for ``DataRepository(tables)``, the decoded table itself; a
+repository opened over a directory of native binary table files
+(:meth:`DataRepository.open`) builds its catalog from file *headers* only —
+names, schemas, row counts, content fingerprints — and materialises tables
+lazily on first :meth:`get`, memory-mapped so even a "loaded" table only
+pages in the columns that are actually read.  Decoded tables are kept alive
+in a small LRU so hot candidates stay warm while a 100-table repository never
+holds 100 decoded tables.
 
 Concurrency model (snapshot isolation)
 --------------------------------------
@@ -24,27 +25,33 @@ from multiple threads of one process while other threads read.  Each mutation:
    in-process catalog reference, both under the writer lock.  Every mutation
    returns the generation it published.
 
+An in-memory table skips the file and the manifest: it is fingerprinted once
+and published by the same catalog copy-and-swap.
+
 Readers call :meth:`DataRepository.snapshot` to pin one generation: the
 returned :class:`RepositorySnapshot` resolves every ``get()`` / ``header()``
 against that frozen catalog, so a multi-table read never observes half of a
-concurrent publish.  Files that fall out of the current catalog are
-garbage-collected by reference count: a superseded table file is deleted only
-once no live snapshot references it (release a snapshot explicitly, via the
-context-manager protocol, or just drop it — a ``weakref.finalize`` hook
-releases abandoned snapshots).  Cross-*process* writers are not coordinated:
-one process owns the writes to a directory, any number of processes may open
-read snapshots of it.
+concurrent publish.  The snapshot is the only read implementation: the
+repository's own reads (``get``, ``profiles``, ...) each take a transient
+snapshot of the current generation and read through it, so a live read is
+pinned exactly like a snapshot read.  Files that fall out of the current
+catalog are garbage-collected by reference count: a superseded table file is
+deleted only once no live snapshot references it (release a snapshot
+explicitly, via the context-manager protocol, or just drop it — a
+``weakref.finalize`` hook releases abandoned snapshots).  Cross-*process*
+writers are not coordinated: one process owns the writes to a directory, any
+number of processes may open read snapshots of it.
 
-The :class:`ProfileCache` rides along: besides the identity-validated
-in-memory entries it has always had, entries can now be validated by a
-table's *content fingerprint* (stored in every table file header) and
-persisted to a sidecar file, so a repeated ``ARDA`` run over the same
+The :class:`ProfileCache` rides along: its entries are validated by a
+table's *content fingerprint* (the catalog's, never re-derived on a hit) and
+can be persisted to a sidecar file, so a repeated ``ARDA`` run over the same
 repository serves every discovery profile from disk without touching a single
 table body.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import pickle
 import threading
@@ -57,13 +64,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from repro.core.executor import longest_first_order
-from repro.discovery.profiles import (
-    ColumnProfile,
-    profile_shard,
-    profile_table,
-    profile_table_chunks,
-)
+from repro.discovery.profiles import ColumnProfile, profile_shard, profile_table_chunks
 from repro.relational.io import read_csv
+from repro.relational.join import as_chunk_source
 from repro.relational.schema import CATEGORICAL
 from repro.relational.persist import (
     DEFAULT_STREAM_CHUNK_ROWS,
@@ -74,7 +77,6 @@ from repro.relational.persist import (
     TableFormatError,
     TableHeader,
     atomic_replace,
-    open_chunks,
     read_manifest,
     read_table,
     read_table_header,
@@ -101,17 +103,14 @@ class ProfileCache:
     repository this dominates discovery time.  The cache stores the full
     per-table profile dictionary keyed by ``(table name, num_hashes)``.
 
-    Entries are validated two ways:
-
-    * **object identity** — tables are immutable by convention, so as long as
-      a repository slot still holds the same object the cached profiles are
-      exact (the original scheme, used for in-memory tables);
-    * **content fingerprint** — the hex fingerprint stored in every binary
-      table file header (see :func:`repro.relational.persist.table_fingerprint`).
-      Fingerprint-validated entries survive process restarts: :meth:`save`
-      writes them to a sidecar file and :meth:`load` brings them back, and an
-      entry whose fingerprint no longer matches the table on disk is simply a
-      miss (then dropped by :meth:`prune_fingerprints` on the next open).
+    Each entry is ``(fingerprint, profiles)``: the content fingerprint (see
+    :func:`repro.relational.persist.table_fingerprint` — stored in every
+    table file header, and taken once when an in-memory table is added) of
+    the table the profiles describe.  A lookup under any other fingerprint
+    is a miss.  Entries survive process restarts: :meth:`save` writes them
+    to a sidecar file and :meth:`load` brings them back, and an entry whose
+    fingerprint no longer matches the table on disk is simply a miss (then
+    dropped by :meth:`prune_fingerprints` on the next open).
 
     ``hits`` / ``misses`` / ``invalidations`` counters are exposed so callers
     (and tests) can assert that re-profiling was actually skipped.  Entry and
@@ -125,10 +124,8 @@ class ProfileCache:
     """
 
     def __init__(self):
-        # (table name, num_hashes) -> (table or None, fingerprint or None, profiles)
-        self._entries: dict[
-            tuple[str, int], tuple[Table | None, str | None, dict[str, ColumnProfile]]
-        ] = {}
+        # (table name, num_hashes) -> (content fingerprint, profiles)
+        self._entries: dict[tuple[str, int], tuple[str, dict[str, ColumnProfile]]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -146,104 +143,33 @@ class ProfileCache:
         self.__dict__.setdefault("sidecar_generation", None)
         self._lock = threading.Lock()
 
-    def get_or_profile(self, table: Table, num_hashes: int = 64) -> dict[str, ColumnProfile]:
-        """Return cached profiles for ``table``, profiling it on first sight.
-
-        A fingerprint-validated entry (e.g. loaded from a sidecar) is checked
-        by fingerprinting ``table``; on a match the entry is re-bound to the
-        object so subsequent lookups take the O(1) identity path.
-        """
-        key = (table.name, num_hashes)
-        with self._lock:
-            entry = self._entries.get(key)
-        if entry is not None:
-            cached_table, cached_fp, profiles = entry
-            if cached_table is table:
-                with self._lock:
-                    self.hits += 1
-                return profiles
-            if cached_table is None and cached_fp is not None:
-                if table_fingerprint(table) == cached_fp:
-                    with self._lock:
-                        self.hits += 1
-                        self._entries[key] = (table, cached_fp, profiles)
-                    return profiles
-        with self._lock:
-            self.misses += 1
-        profiles = profile_table(table, num_hashes=num_hashes)
-        with self._lock:
-            self._entries[key] = (table, None, profiles)
-        return profiles
-
-    def get_or_profile_keyed(
+    def lookup(
         self,
         name: str,
         fingerprint: str,
-        loader: Callable[[], Table],
+        open_source: Callable[[], tuple[str, object]],
         num_hashes: int = 64,
     ) -> dict[str, ColumnProfile]:
-        """Fingerprint-validated lookup that only loads the table on a miss.
+        """Profiles of table ``name`` at content ``fingerprint``, profiling on a miss.
 
-        This is the disk-backed repository's path: on a hit the table body is
-        never read — the catalog header supplies the fingerprint and the
-        profiles come straight from the cache.
-
-        On a miss, the loaded table is re-fingerprinted before the profiles
-        are stored: if a concurrent ``replace`` republished the table between
-        the caller reading its catalog entry and ``loader()`` reading the
-        body, the profiles describe the *new* content and are cached under
-        its actual fingerprint — never under the requested one.  Without this
-        check the window would poison the cache (and any sidecar it is saved
-        to) with wrong profiles for the old fingerprint.
+        A hit never calls ``open_source``, so no table body is read.  On a
+        miss, ``open_source()`` returns ``(fingerprint, source)``: the
+        fingerprint of the content it actually opened, and that content as a
+        chunk source (a :class:`Table` or a chunk reader), which is profiled
+        chunk by chunk (:func:`~repro.discovery.profiles.profile_table_chunks`
+        — identical to whole-table profiling, in bounded memory).  The
+        profiles are stored under the *opened* fingerprint, never the
+        requested one: if a concurrent ``replace`` republished the table
+        between the caller reading its fingerprint and the body being opened,
+        the race costs a miss, never a cache (or sidecar) entry that pairs
+        one content's fingerprint with another's profiles.  Counts exactly
+        one hit or one miss.
         """
-        key = (name, num_hashes)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[1] == fingerprint:
-                self.hits += 1
-                return entry[2]
-            self.misses += 1
-        table = loader()
-        actual = table_fingerprint(table)
-        profiles = profile_table(table, num_hashes=num_hashes)
-        with self._lock:
-            self._entries[key] = (None, actual, profiles)
-        return profiles
-
-    def get_or_profile_chunked(
-        self,
-        name: str,
-        fingerprint: str,
-        opener: Callable[[], ChunkedTableReader],
-        num_hashes: int = 64,
-    ) -> dict[str, ColumnProfile]:
-        """Fingerprint-validated lookup that streams chunk-by-chunk on a miss.
-
-        The out-of-core sibling of :meth:`get_or_profile_keyed`: a miss opens
-        a chunk reader and profiles it with mergeable per-chunk states
-        (:func:`~repro.discovery.profiles.profile_table_chunks`) instead of
-        materialising the table.  Chunked profiles are identical — signature
-        bytes included — to monolithic ones, and a chunked file stores the
-        same whole-table fingerprint a monolithic layout of the same content
-        would, so the cache holds one canonical entry per table content no
-        matter how the file is laid out or which path computed the profiles.
-
-        As with the keyed path, profiles are stored under the fingerprint the
-        opened file *actually* carries, so racing a concurrent ``replace``
-        can only cause a miss, never a poisoned entry.
-        """
-        key = (name, num_hashes)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[1] == fingerprint:
-                self.hits += 1
-                return entry[2]
-            self.misses += 1
-        reader = opener()
-        actual = reader.header.fingerprint
-        profiles = profile_table_chunks(reader, num_hashes=num_hashes)
-        with self._lock:
-            self._entries[key] = (None, actual, profiles)
+        profiles = self.peek(name, fingerprint, num_hashes=num_hashes)
+        if profiles is None:
+            actual, source = open_source()
+            profiles = profile_table_chunks(source, num_hashes=num_hashes)
+            self.store(name, actual, profiles, num_hashes=num_hashes)
         return profiles
 
     def peek(
@@ -254,16 +180,15 @@ class ProfileCache:
         Sharded discovery uses this to split cache resolution from profile
         computation: tables whose profiles are already cached are answered
         here, and only the remainder turns into shard jobs.  Counts a hit; a
-        miss is counted by whichever path then profiles the table —
-        :meth:`store` for sharded profiles, a ``get_or_*`` lookup for the
-        serial fallback — so every table counts exactly one hit or miss.
+        miss is counted by the :meth:`store` that resolves it (sharded
+        profiles, or :meth:`lookup` for the serial path), so every table
+        counts exactly one hit or miss.
         """
-        key = (name, num_hashes)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[1] == fingerprint:
+            entry = self._entries.get((name, num_hashes))
+            if entry is not None and entry[0] == fingerprint:
                 self.hits += 1
-                return entry[2]
+                return entry[1]
             return None
 
     def store(
@@ -273,17 +198,17 @@ class ProfileCache:
         profiles: dict[str, ColumnProfile],
         num_hashes: int = 64,
     ) -> None:
-        """Deposit externally computed profiles under a fingerprint key.
+        """Deposit computed profiles under the fingerprint they describe.
 
-        The sharded-discovery counterpart of the ``get_or_*`` stores: callers
-        merge shard accumulators themselves and store the finished profiles
-        with the fingerprint the file *actually* carried, which counts the
-        miss they resolve (see :meth:`peek`).  Last store wins — profiles are
-        deterministic, so concurrent stores are identical.
+        :meth:`lookup` stores its misses here; sharded discovery merges shard
+        accumulators itself and stores the finished profiles with the
+        fingerprint the file *actually* carried.  Counts the miss it resolves
+        (see :meth:`peek`).  Last store wins — profiles are deterministic, so
+        concurrent stores are identical.
         """
         with self._lock:
             self.misses += 1
-            self._entries[(name, num_hashes)] = (None, fingerprint, profiles)
+            self._entries[(name, num_hashes)] = (fingerprint, profiles)
 
     def invalidate(self, table_name: str | None = None) -> int:
         """Drop cached profiles for one table (or all); returns entries dropped."""
@@ -298,17 +223,17 @@ class ProfileCache:
             return len(stale)
 
     def prune_fingerprints(self, live: dict[str, str]) -> int:
-        """Drop fingerprint-validated entries that no longer match ``live``.
+        """Drop entries that no longer match ``live``.
 
         ``live`` maps table name to current on-disk fingerprint; entries for
         unknown names or stale fingerprints are removed (counted as
-        invalidations).  Identity-validated entries are left alone.
+        invalidations).
         """
         with self._lock:
             stale = [
                 key
-                for key, (table, fp, _profiles) in self._entries.items()
-                if table is None and fp is not None and live.get(key[0]) != fp
+                for key, (fingerprint, _profiles) in self._entries.items()
+                if live.get(key[0]) != fingerprint
             ]
             for key in stale:
                 del self._entries[key]
@@ -320,34 +245,24 @@ class ProfileCache:
     def save(self, path: str | Path, generation: int | None = None) -> int:
         """Persist all entries to a sidecar file; returns entries written.
 
-        Identity-validated entries are fingerprinted on the way out (one pass
-        over the table bytes) so they can be re-validated by a future process
-        that holds different objects.  The write is atomic (uniquely-named
-        temp file + ``os.replace``, so concurrent savers never interleave).
-        ``generation`` optionally stamps the sidecar with the repository
-        manifest generation it was saved at, for debugging stale caches —
-        correctness never depends on it (every entry is fingerprint-validated
-        on load and lookup).
+        The write is atomic (uniquely-named temp file + ``os.replace``, so
+        concurrent savers never interleave).  ``generation`` optionally stamps
+        the sidecar with the repository manifest generation it was saved at,
+        for debugging stale caches — correctness never depends on it (every
+        entry is fingerprint-validated on load and lookup).
         """
         path = Path(path)
         with self._lock:
             snapshot = dict(self._entries)
-        records = []
-        for (name, num_hashes), (table, fingerprint, profiles) in snapshot.items():
-            if fingerprint is None:
-                if table is None:
-                    continue
-                fingerprint = table_fingerprint(table)
-            records.append(
-                {
-                    "table": name,
-                    "num_hashes": num_hashes,
-                    "fingerprint": fingerprint,
-                    "profiles": {
-                        col: profile.to_state() for col, profile in profiles.items()
-                    },
-                }
-            )
+        records = [
+            {
+                "table": name,
+                "num_hashes": num_hashes,
+                "fingerprint": fingerprint,
+                "profiles": {col: profile.to_state() for col, profile in profiles.items()},
+            }
+            for (name, num_hashes), (fingerprint, profiles) in snapshot.items()
+        ]
         payload = {
             "format": _SIDECAR_FORMAT,
             "version": _SIDECAR_VERSION,
@@ -387,7 +302,7 @@ class ProfileCache:
                     col: ColumnProfile.from_state(state)
                     for col, state in record["profiles"].items()
                 }
-                self._entries[key] = (None, record["fingerprint"], profiles)
+                self._entries[key] = (record["fingerprint"], profiles)
                 loaded += 1
         return loaded
 
@@ -432,13 +347,22 @@ class ProfileCache:
 
 
 class _CatalogEntry:
-    """One disk-backed table: its file path and header (no row data)."""
+    """One table of a generation and its content ``fingerprint``: a file
+    (``path`` and ``header``, no row data) or an in-memory ``table``."""
 
-    __slots__ = ("path", "header")
+    __slots__ = ("path", "header", "table", "fingerprint")
 
-    def __init__(self, path: Path, header: TableHeader):
+    def __init__(
+        self,
+        path: Path | None = None,
+        header: TableHeader | None = None,
+        table: Table | None = None,
+        fingerprint: str | None = None,
+    ):
         self.path = path
         self.header = header
+        self.table = table
+        self.fingerprint = header.fingerprint if header is not None else fingerprint
 
 
 def _unlink_quietly(path: Path) -> bool:
@@ -501,111 +425,20 @@ def _plan_shards(
     return jobs
 
 
-def _profiles_many(
-    cache: ProfileCache,
-    entry_for: Callable[[str], _CatalogEntry | None],
-    serial: Callable[[str], dict[str, ColumnProfile]],
-    in_memory: dict[str, Table],
-    mmap: bool,
-    names: list[str],
-    num_hashes: int,
-    executor,
-) -> dict[str, dict[str, ColumnProfile]]:
-    """Profile many tables, sharding chunk work over a ``JoinExecutor``.
-
-    Cache hits (fingerprint-validated) are answered without touching table
-    bodies; the remaining disk-backed tables fan out as chunk-range shards
-    whose accumulators merge back — per table, in chunk order — into profiles
-    byte-identical to the serial path.  In-memory tables, serial executors,
-    and any shard that hits a concurrent republish fall back to the one-table
-    ``serial`` callable.  Each table counts exactly one cache hit or miss on
-    every path.  Shard timings and counts land on the process metrics
-    registry under ``discovery.*``.
-    """
-    if executor is None or executor.n_jobs <= 1:
-        return {name: serial(name) for name in names}
-    results: dict[str, dict[str, ColumnProfile]] = {}
-    shardable: list[tuple[str, _CatalogEntry]] = []
-    for name in names:
-        entry = entry_for(name)
-        if entry is None or name in in_memory:
-            results[name] = serial(name)
-            continue
-        cached = cache.peek(name, entry.header.fingerprint, num_hashes=num_hashes)
-        if cached is not None:
-            results[name] = cached
-            continue
-        shardable.append((name, entry))
-    if not shardable:
-        return results
-
-    jobs = _plan_shards(shardable, executor.n_jobs)
-    # LPT order: widest chunk ranges first minimises pool makespan; results
-    # are restored to plan order before merging
-    order = longest_first_order([hi - lo for (_p, _n, lo, hi) in jobs])
-    submitted = [jobs[i] for i in order]
-    wall_start = time.perf_counter()
-    raw = executor.map_with_shared(_profile_shard_job, (num_hashes, mmap), submitted)
-    wall_seconds = time.perf_counter() - wall_start
-    outputs: list = [None] * len(jobs)
-    for pos, index in enumerate(order):
-        outputs[index] = raw[pos]
-
-    by_table: dict[str, list] = {}
-    failed: set[str] = set()
-    for job, out in zip(jobs, outputs):
-        name = job[1]
-        if out is None:
-            failed.add(name)
-        else:
-            by_table.setdefault(name, []).append(out)
-
-    shard_count = 0
-    shard_timings: list[float] = []
-    for name, _entry in shardable:
-        outs = by_table.get(name)
-        if name in failed or not outs:
-            results[name] = serial(name)
-            continue
-        outs.sort(key=lambda out: out[1])  # chunk order (merge-order invariant)
-        fingerprints = {out[3] for out in outs}
-        if len(fingerprints) != 1:
-            # shards straddled a concurrent replace: torn read, recompute
-            results[name] = serial(name)
-            continue
-        merged = outs[0][4]
-        for _name, _lo, _elapsed, _fp, accumulators in outs[1:]:
-            for column, accumulator in accumulators.items():
-                merged[column].merge(accumulator)
-        profiles = {column: acc.finish() for column, acc in merged.items()}
-        cache.store(name, next(iter(fingerprints)), profiles, num_hashes=num_hashes)
-        results[name] = profiles
-        shard_count += len(outs)
-        shard_timings.extend(out[2] for out in outs)
-
-    from repro.observability import get_registry
-
-    registry = get_registry()
-    registry.counter("discovery.shards").inc(shard_count)
-    registry.counter("discovery.tables_sharded").inc(len(shardable) - len(failed))
-    histogram = registry.histogram("discovery.shard_seconds")
-    for elapsed in shard_timings:
-        histogram.observe(elapsed)
-    registry.histogram("discovery.profile_wall_seconds").observe(wall_seconds)
-    return results
-
-
 class RepositorySnapshot:
-    """A frozen, read-only view of one repository manifest generation.
+    """A frozen, read-only view of one repository generation — and the
+    repository's one read implementation.
 
-    Produced by :meth:`DataRepository.snapshot`.  All reads — :meth:`get`,
-    :meth:`header`, :meth:`schema`, :meth:`profiles`, :attr:`table_names` —
-    resolve against the catalog as it stood at :attr:`generation`, no matter
-    what concurrent writers publish afterwards: the snapshot's table files
-    are pinned against garbage collection until the snapshot is released,
-    and an already-mapped file keeps serving its old bytes even after the
-    name is republished (``os.replace`` / ``unlink`` keep the old inode alive
-    for existing maps).
+    Produced by :meth:`DataRepository.snapshot`; the repository's own reads
+    take a transient snapshot of the current generation and call the same
+    method on it.  All reads — :meth:`get`, :meth:`header`, :meth:`schema`,
+    :meth:`fingerprint`, :meth:`profiles`, :meth:`profiles_many`,
+    :meth:`open_chunks`, :attr:`table_names` — resolve against the catalog
+    as it stood at :attr:`generation`, no matter what concurrent writers
+    publish afterwards: the snapshot's table files are pinned against
+    garbage collection until the snapshot is released, and an already-mapped
+    file keeps serving its old bytes even after the name is republished
+    (``os.replace`` / ``unlink`` keep the old inode alive for existing maps).
 
     Release a snapshot when done — explicitly (:meth:`release`), as a context
     manager, or implicitly by dropping the last reference (a
@@ -614,10 +447,9 @@ class RepositorySnapshot:
     released snapshot raises ``RuntimeError``.
 
     The snapshot exposes the full read API of :class:`DataRepository`
-    (``get`` / ``header`` / ``schema`` / ``profiles`` / ``table_names`` /
-    ``in`` / ``len`` / iteration / ``is_disk_backed`` / ``save_profiles``),
-    so pipeline code written against a repository can run unchanged against
-    a pinned generation.
+    (``in`` / ``len`` / iteration / ``is_disk_backed`` / ``save_profiles``
+    included), so pipeline code written against a repository runs unchanged
+    against a pinned generation.
     """
 
     def __init__(
@@ -625,13 +457,11 @@ class RepositorySnapshot:
         repository: "DataRepository",
         generation: int,
         catalog: dict[str, _CatalogEntry],
-        tables: dict[str, Table],
         token: int,
     ):
         self._repository = repository
         self._generation = generation
         self._catalog = catalog
-        self._tables = tables
         self._token = token
         self._loaded: dict[str, Table] = {}
         self._local_lock = threading.Lock()
@@ -690,111 +520,91 @@ class RepositorySnapshot:
     @property
     def table_names(self) -> list[str]:
         """Names of all tables in this generation."""
-        return list(self._catalog) + [n for n in self._tables if n not in self._catalog]
+        return list(self._catalog)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._catalog or name in self._tables
+        return name in self._catalog
 
     def __len__(self) -> int:
-        return len(self._catalog) + sum(1 for n in self._tables if n not in self._catalog)
+        return len(self._catalog)
 
     def __iter__(self) -> Iterator[Table]:
         for name in self.table_names:
             yield self.get(name)
 
-    def header(self, name: str) -> TableHeader:
-        """The pinned catalog header of a disk-backed table."""
+    def _entry(self, name: str) -> _CatalogEntry:
         entry = self._catalog.get(name)
         if entry is None:
             raise KeyError(
-                f"no disk-backed table named {name!r} in snapshot generation "
-                f"{self._generation}; catalogued: {list(self._catalog)}"
+                f"no table named {name!r} in generation {self._generation}; "
+                f"available: {self.table_names}"
             )
-        return entry.header
+        return entry
+
+    def header(self, name: str) -> TableHeader:
+        """The pinned file header of a disk-backed table (``KeyError`` for an
+        in-memory table, which has no file)."""
+        header = self._entry(name).header
+        if header is None:
+            raise KeyError(f"table {name!r} is in-memory and has no file header")
+        return header
 
     def schema(self, name: str):
         """The schema of a table, served without loading when disk-backed."""
-        entry = self._catalog.get(name)
-        if entry is not None and name not in self._tables:
-            return entry.header.schema()
-        return self.get(name).schema()
+        entry = self._entry(name)
+        return (entry.table if entry.header is None else entry.header).schema()
+
+    def fingerprint(self, name: str) -> str:
+        """The content fingerprint of one table, from the catalog (no body read)."""
+        return self._entry(name).fingerprint
 
     def fingerprints(self) -> dict[str, str]:
-        """``{table name → content fingerprint}`` of this generation.
-
-        Disk-backed tables are served from their pinned catalog headers
-        (no body read); in-memory tables are fingerprinted on demand.
-        """
-        out: dict[str, str] = {}
-        for name in self.table_names:
-            entry = self._catalog.get(name)
-            if entry is not None and name not in self._tables:
-                out[name] = entry.header.fingerprint
-            else:
-                out[name] = table_fingerprint(self._tables[name])
-        return out
+        """``{table name → content fingerprint}`` of this generation."""
+        return {name: entry.fingerprint for name, entry in self._catalog.items()}
 
     def get(self, name: str) -> Table:
         """Look up a table in the pinned generation, materialising it lazily."""
         self._check_live()
-        table = self._tables.get(name)
-        if table is not None:
-            return table
+        entry = self._entry(name)
+        if entry.table is not None:
+            return entry.table
         with self._local_lock:
             table = self._loaded.get(name)
-        if table is not None:
-            return table
-        entry = self._catalog.get(name)
-        if entry is None:
-            raise KeyError(
-                f"no table named {name!r} in snapshot generation "
-                f"{self._generation}; available: {self.table_names}"
-            )
-        owner = self._repository
-        # reuse the owner's LRU when the live catalog still holds this exact
-        # entry (same generation of the table), so repeated snapshots of a
-        # quiet repository decode each table once
-        table = None
-        if owner._catalog.get(name) is entry:
-            with owner._lru_lock:
-                cached = owner._loaded.get(name)
-                if cached is not None and cached[0] == entry.header.fingerprint:
-                    owner._loaded.move_to_end(name)
-                    table = cached[1]
         if table is None:
-            table = read_table(entry.path, mmap=owner._mmap)
-            if not table.name:
-                table = table.rename(name)
-        with self._local_lock:
-            self._loaded[name] = table
+            table = self._repository._load(name, entry)
+            with self._local_lock:
+                table = self._loaded.setdefault(name, table)
         return table
 
     def profiles(self, name: str, num_hashes: int = 64) -> dict[str, ColumnProfile]:
         """Column profiles of one pinned table, via the owner's profile cache.
 
-        Keyed by the pinned fingerprint, so a profile computed for this
-        generation is never confused with one of a later republication.
-        Multi-chunk tables profile chunk-by-chunk on a miss.
+        Looked up by the pinned fingerprint, so a profile computed for this
+        generation is never confused with one of a later republication, and
+        a hit reads no table body.  A miss profiles the table chunk by chunk,
+        so a multi-chunk file is never materialised.
         """
-        entry = self._catalog.get(name)
-        if entry is not None and name not in self._tables:
-            if entry.header.num_chunks > 1:
-                path, mmap = entry.path, self._repository._mmap
-                return self._repository.profile_cache.get_or_profile_chunked(
-                    name,
-                    entry.header.fingerprint,
-                    opener=lambda: open_chunks(path, mmap=mmap),
-                    num_hashes=num_hashes,
-                )
-            return self._repository.profile_cache.get_or_profile_keyed(
-                name,
-                entry.header.fingerprint,
-                loader=lambda: self.get(name),
-                num_hashes=num_hashes,
-            )
-        return self._repository.profile_cache.get_or_profile(
-            self.get(name), num_hashes=num_hashes
+        self._check_live()
+        entry = self._entry(name)
+        return self._repository.profile_cache.lookup(
+            name,
+            entry.fingerprint,
+            lambda: self._open_source(name, entry),
+            num_hashes=num_hashes,
         )
+
+    def _open_source(self, name: str, entry: _CatalogEntry) -> tuple[str, object]:
+        """``(fingerprint, chunk source)`` of the content a profile miss reads.
+
+        A one-chunk file is read through :meth:`get` (and the owner's LRU) and
+        re-fingerprinted, so its profiles are stored under the content that
+        was actually read; an in-memory table and a multi-chunk reader carry
+        their catalog fingerprint.
+        """
+        if entry.path is not None and entry.header.num_chunks == 1:
+            table = self.get(name)
+            return table_fingerprint(table), table
+        return entry.fingerprint, self.open_chunks(name)
 
     def profiles_many(
         self,
@@ -805,43 +615,110 @@ class RepositorySnapshot:
         """Profile many pinned tables at once, sharding chunk work over
         ``executor`` (a :class:`~repro.core.executor.JoinExecutor`).
 
-        Byte-identical to calling :meth:`profiles` per table — cache hits,
-        serial executors, and in-memory tables take exactly that path, and
-        sharded results merge to the same canonical profiles — but a wide
-        corpus profiles in parallel from headers + chunk ranges without ever
-        materialising a whole table.
+        The corpus-scale sibling of :meth:`profiles`: cache hits are answered
+        from the catalog alone, and the remaining table files fan out as
+        per-(table, chunk-range) shard jobs whose accumulators merge back —
+        per table, in chunk order, with :meth:`ColumnProfileAccumulator.merge
+        <repro.discovery.profiles.ColumnProfileAccumulator.merge>` — into
+        profiles **byte-identical** to :meth:`profiles` (MinHash signatures
+        included) regardless of executor backend or shard boundaries.  With
+        ``executor=None`` or a one-worker executor, for in-memory tables, and
+        for any table whose shards hit a concurrent republish, a table takes
+        the plain :meth:`profiles` path.  Each table counts exactly one cache
+        hit or miss on every path.  Shard timings and counts land on the
+        process metrics registry under ``discovery.*``.
         """
         self._check_live()
         names = list(names) if names is not None else self.table_names
-        return _profiles_many(
-            cache=self._repository.profile_cache,
-            entry_for=self._catalog.get,
-            serial=lambda name: self.profiles(name, num_hashes=num_hashes),
-            in_memory=self._tables,
-            mmap=self._repository._mmap,
-            names=names,
-            num_hashes=num_hashes,
-            executor=executor,
+        if executor is None or executor.n_jobs <= 1:
+            return {name: self.profiles(name, num_hashes=num_hashes) for name in names}
+        cache = self._repository.profile_cache
+        results: dict[str, dict[str, ColumnProfile]] = {}
+        shardable: list[tuple[str, _CatalogEntry]] = []
+        for name in names:
+            entry = self._entry(name)
+            if entry.path is None:
+                results[name] = self.profiles(name, num_hashes=num_hashes)
+                continue
+            cached = cache.peek(name, entry.fingerprint, num_hashes=num_hashes)
+            if cached is not None:
+                results[name] = cached
+                continue
+            shardable.append((name, entry))
+        if not shardable:
+            return results
+
+        jobs = _plan_shards(shardable, executor.n_jobs)
+        # LPT order: widest chunk ranges first minimises pool makespan; results
+        # are restored to plan order before merging
+        order = longest_first_order([hi - lo for (_p, _n, lo, hi) in jobs])
+        submitted = [jobs[i] for i in order]
+        wall_start = time.perf_counter()
+        raw = executor.map_with_shared(
+            _profile_shard_job, (num_hashes, self._repository._mmap), submitted
         )
+        wall_seconds = time.perf_counter() - wall_start
+        outputs: list = [None] * len(jobs)
+        for pos, index in enumerate(order):
+            outputs[index] = raw[pos]
 
-    def open_chunks(self, name: str) -> ChunkedTableReader:
-        """Open one pinned disk-backed table for chunk-at-a-time streaming.
+        by_table: dict[str, list] = {}
+        failed: set[str] = set()
+        for job, out in zip(jobs, outputs):
+            name = job[1]
+            if out is None:
+                failed.add(name)
+            else:
+                by_table.setdefault(name, []).append(out)
 
-        Resolves against the pinned generation: a table republished (even
-        rechunked) after the snapshot was taken still streams its old bytes.
+        shard_count = 0
+        shard_timings: list[float] = []
+        for name, _entry in shardable:
+            outs = by_table.get(name)
+            if name in failed or not outs:
+                results[name] = self.profiles(name, num_hashes=num_hashes)
+                continue
+            outs.sort(key=lambda out: out[1])  # chunk order (merge-order invariant)
+            fingerprints = {out[3] for out in outs}
+            if len(fingerprints) != 1:
+                # shards straddled a concurrent replace: torn read, recompute
+                results[name] = self.profiles(name, num_hashes=num_hashes)
+                continue
+            merged = outs[0][4]
+            for _name, _lo, _elapsed, _fp, accumulators in outs[1:]:
+                for column, accumulator in accumulators.items():
+                    merged[column].merge(accumulator)
+            profiles = {column: acc.finish() for column, acc in merged.items()}
+            cache.store(name, next(iter(fingerprints)), profiles, num_hashes=num_hashes)
+            results[name] = profiles
+            shard_count += len(outs)
+            shard_timings.extend(out[2] for out in outs)
+
+        from repro.observability import get_registry
+
+        registry = get_registry()
+        registry.counter("discovery.shards").inc(shard_count)
+        registry.counter("discovery.tables_sharded").inc(len(shardable) - len(failed))
+        histogram = registry.histogram("discovery.shard_seconds")
+        for elapsed in shard_timings:
+            histogram.observe(elapsed)
+        registry.histogram("discovery.profile_wall_seconds").observe(wall_seconds)
+        return results
+
+    def open_chunks(self, name: str):
+        """Open one pinned table for chunk-at-a-time streaming.
+
+        A table file opens as a
+        :class:`~repro.relational.persist.ChunkedTableReader` over the pinned
+        generation — a table republished (even rechunked) after the snapshot
+        was taken still streams its old bytes, and a monolithic file presents
+        as one implicit chunk.  An in-memory table is its own one-chunk
+        source (:func:`~repro.relational.join.as_chunk_source`).
         """
         self._check_live()
-        if name in self._tables:
-            raise ValueError(
-                f"table {name!r} is in-memory; open_chunks needs a disk-backed table "
-                f"(wrap in-memory tables with as_chunk_source)"
-            )
-        entry = self._catalog.get(name)
-        if entry is None:
-            raise KeyError(
-                f"no table named {name!r} in snapshot generation "
-                f"{self._generation}; available: {self.table_names}"
-            )
+        entry = self._entry(name)
+        if entry.table is not None:
+            return as_chunk_source(entry.table)
         return ChunkedTableReader(
             entry.path, mmap=self._repository._mmap, header=entry.header
         )
@@ -858,6 +735,18 @@ class RepositorySnapshot:
         )
 
 
+def _read_through_snapshot(read):
+    """A :class:`DataRepository` read: ``read`` called on a transient
+    snapshot of the current generation, released on return."""
+
+    @functools.wraps(read)
+    def through_snapshot(self, *args, **kwargs):
+        with self.snapshot() as view:
+            return read(view, *args, **kwargs)
+
+    return through_snapshot
+
+
 class DataRepository:
     """A collection of candidate tables keyed by name.
 
@@ -865,10 +754,10 @@ class DataRepository:
     discovery system indexes; ARDA never scans it directly, it only receives
     candidate joins referencing tables by name.
 
-    Two backing modes share one API:
+    Two backing modes share one catalog and one API:
 
-    * **in-memory** — ``DataRepository(tables)`` holds decoded tables in a
-      dict, exactly as before;
+    * **in-memory** — ``DataRepository(tables)`` catalogs the decoded tables
+      themselves (each fingerprinted once, when added or replaced);
     * **disk-backed** — :meth:`open` catalogs a directory of ``.tbl`` files by
       reading only their headers, then loads tables lazily (memory-mapped) on
       first access with an LRU keep-alive of decoded tables.  :meth:`add`,
@@ -879,9 +768,13 @@ class DataRepository:
       discovery profiles without reading any table body.
 
     Every mutation returns the manifest generation it published (in-memory
-    repositories keep the same counter, so the snapshot machinery and the
-    snapshot-isolation checker work against both modes).  Readers that need a
-    consistent multi-table view take :meth:`snapshot`.
+    repositories publish the same way, without a manifest file, so the
+    snapshot machinery and the snapshot-isolation checker work against both
+    modes).  Readers that need a consistent multi-table view take
+    :meth:`snapshot`; every other read (:meth:`get`, :meth:`header`,
+    :meth:`schema`, :meth:`fingerprint`, :meth:`profiles`,
+    :meth:`profiles_many`, :meth:`open_chunks`, iteration) takes a transient
+    snapshot of the current generation and reads through it.
 
     Every repository owns a :class:`ProfileCache` so that discovery profiles
     (distinct counts, ranges, MinHash signatures) are computed once per table
@@ -889,8 +782,8 @@ class DataRepository:
     :meth:`remove` invalidates the affected entries.
     """
 
-    def __init__(self, tables: Iterable[Table] = (), profile_cache: ProfileCache | None = None):
-        self._tables: dict[str, Table] = {}
+    def __init__(self, tables: Iterable[Table] = ()):
+        # publishes swap this reference and never mutate the dict
         self._catalog: dict[str, _CatalogEntry] = {}
         # name -> (content fingerprint at load time, decoded table)
         self._loaded: OrderedDict[str, tuple[str, Table]] = OrderedDict()
@@ -905,7 +798,7 @@ class DataRepository:
         self._snapshot_tokens = itertools.count()
         self._snapshot_files: dict[int, frozenset[Path]] = {}
         self._pending_gc: set[Path] = set()
-        self.profile_cache = profile_cache if profile_cache is not None else ProfileCache()
+        self.profile_cache = ProfileCache()
         for table in tables:
             self.add(table)
 
@@ -931,7 +824,6 @@ class DataRepository:
         cls,
         directory: str | Path,
         lru_tables: int | None = 16,
-        profile_cache: ProfileCache | None = None,
         mmap: bool = True,
         load_profiles: bool = True,
         chunk_rows: int | None = None,
@@ -974,7 +866,7 @@ class DataRepository:
             raise FileNotFoundError(f"repository directory {directory} does not exist")
         if lru_tables is not None and lru_tables < 1:
             raise ValueError("lru_tables must be None or >= 1")
-        repository = cls(profile_cache=profile_cache)
+        repository = cls()
         repository._directory = directory
         repository._lru_tables = lru_tables
         repository._mmap = mmap
@@ -1076,22 +968,6 @@ class DataRepository:
         with self._lru_lock:
             return list(self._loaded)
 
-    def header(self, name: str) -> TableHeader:
-        """The catalog header of a disk-backed table (schema without loading)."""
-        entry = self._catalog.get(name)
-        if entry is None:
-            raise KeyError(
-                f"no disk-backed table named {name!r}; catalogued: {list(self._catalog)}"
-            )
-        return entry.header
-
-    def schema(self, name: str):
-        """The schema of a table, served without loading when disk-backed."""
-        entry = self._catalog.get(name)
-        if entry is not None and name not in self._tables:
-            return entry.header.schema()
-        return self.get(name).schema()
-
     def save_profiles(self, path: str | Path | None = None) -> Path:
         """Persist the profile cache to a sidecar next to the tables.
 
@@ -1177,13 +1053,37 @@ class DataRepository:
         )
         return self._generation
 
-    def _store_loaded(self, name: str, fingerprint: str, table: Table) -> None:
-        # caller holds _lru_lock
-        self._loaded[name] = (fingerprint, table)
-        self._loaded.move_to_end(name)
-        if self._lru_tables is not None:
-            while len(self._loaded) > self._lru_tables:
-                self._loaded.popitem(last=False)
+    def _load(self, name: str, entry: _CatalogEntry) -> Table:
+        """Decode one catalogued table file through the LRU.
+
+        LRU entries are matched by content fingerprint, so any snapshot whose
+        pinned entry has the same content reuses the decoded table.
+        """
+        with self._lru_lock:
+            cached = self._loaded.get(name)
+            if cached is not None and cached[0] == entry.fingerprint:
+                self._loaded.move_to_end(name)
+                return cached[1]
+        table = read_table(entry.path, mmap=self._mmap)
+        if not table.name:
+            table = table.rename(name)
+        self._store_loaded(name, entry, table)
+        return table
+
+    def _store_loaded(self, name: str, entry: _CatalogEntry, table: Table) -> None:
+        """Keep a decoded table file in the LRU while ``entry`` is current.
+
+        Reads through an older snapshot never evict the current generation's
+        tables; in-memory entries hold their table already.
+        """
+        with self._lru_lock:
+            if entry.path is None or self._catalog.get(name) is not entry:
+                return
+            self._loaded[name] = (entry.fingerprint, table)
+            self._loaded.move_to_end(name)
+            if self._lru_tables is not None:
+                while len(self._loaded) > self._lru_tables:
+                    self._loaded.popitem(last=False)
 
     # -- snapshots and garbage collection ----------------------------------------
 
@@ -1198,12 +1098,11 @@ class DataRepository:
         with self._write_lock:
             token = next(self._snapshot_tokens)
             catalog = self._catalog  # publishes swap the reference, never mutate
-            tables = dict(self._tables)
             self._snapshot_files[token] = frozenset(
                 entry.path for entry in catalog.values()
             )
             generation = self._generation
-        return RepositorySnapshot(self, generation, catalog, tables, token)
+        return RepositorySnapshot(self, generation, catalog, token)
 
     def _release_snapshot(self, token: int) -> None:
         with self._write_lock:
@@ -1233,16 +1132,20 @@ class DataRepository:
         return reclaimed
 
     def _stage_table(self, table: Table, meta: dict | None = None) -> _CatalogEntry:
-        """Write ``table`` under its content-addressed staging name.
+        """The catalog entry of ``table``, written to disk when disk-backed.
 
-        The name embeds the content fingerprint, so concurrent writers of the
-        same table name never rewrite each other's bytes (identical content
-        maps to the identical file, which both write byte-identically).  The
-        header carries a ``staged`` mark so :meth:`open` can tell uncommitted
-        debris from externally ingested files.  Fingerprinting costs one
-        extra pass over the table bytes before serialisation.
+        Fingerprinting costs one pass over the table bytes; an in-memory
+        table is fingerprinted here and never again.  A disk-backed table is
+        written under its content-addressed staging name: the name embeds the
+        content fingerprint, so concurrent writers of the same table name
+        never rewrite each other's bytes (identical content maps to the
+        identical file, which both write byte-identically).  The header
+        carries a ``staged`` mark so :meth:`open` can tell uncommitted debris
+        from externally ingested files.
         """
         fingerprint = table_fingerprint(table)
+        if self._directory is None:
+            return _CatalogEntry(table=table, fingerprint=fingerprint)
         path = self._directory / f"{table.name}-{fingerprint[:16]}{TABLE_SUFFIX}"
         header = write_table(
             table,
@@ -1255,10 +1158,11 @@ class DataRepository:
     def _publish(self, new_catalog: dict[str, _CatalogEntry]) -> int:
         """Commit ``new_catalog`` as the next manifest generation.
 
-        Caller holds ``_write_lock``.  Writes the manifest atomically, swaps
-        the in-process catalog reference (readers see either the old or the
-        new dict, never a mix), queues superseded files for reference-counted
-        garbage collection, and returns the published generation.
+        Caller holds ``_write_lock``.  Writes the manifest atomically (when
+        disk-backed), swaps the in-process catalog reference (readers see
+        either the old or the new dict, never a mix), queues superseded files
+        for reference-counted garbage collection, and returns the published
+        generation.
         """
         generation = self._generation + 1
         if self._manifest_path is not None:
@@ -1281,7 +1185,7 @@ class DataRepository:
         self._generation = generation
         kept = {entry.path for entry in new_catalog.values()}
         for entry in old_catalog.values():
-            if entry.path not in kept:
+            if entry.path is not None and entry.path not in kept:
                 self._pending_gc.add(entry.path)
         self._collect_garbage()
         return generation
@@ -1292,7 +1196,7 @@ class DataRepository:
         """Register a table; its ``name`` must be unique and non-empty.
 
         In a disk-backed repository the table is staged under a
-        content-addressed file name and published as the next manifest
+        content-addressed file name; either way it is published as the next
         generation.  ``meta`` (optional, disk-backed only) is stored in the
         table file header, e.g. ingestion provenance.  Returns the published
         generation.
@@ -1300,31 +1204,21 @@ class DataRepository:
         if not table.name:
             raise ValueError("repository tables must have a non-empty name")
         name = table.name
-        if self._directory is not None:
-            if name in self._tables or name in self._catalog:
-                raise ValueError(f"a table named {name!r} is already registered")
-            entry = self._stage_table(table, meta)
-            with self._write_lock:
-                existing = self._catalog.get(name)
-                if existing is not None:
-                    # lost the race to a concurrent add; drop our staged file
-                    # unless the winner staged identical content (same path)
-                    if entry.path != existing.path:
-                        self._pending_gc.add(entry.path)
-                        self._collect_garbage()
-                    raise ValueError(f"a table named {name!r} is already registered")
-                new_catalog = dict(self._catalog)
-                new_catalog[name] = entry
-                generation = self._publish(new_catalog)
-            with self._lru_lock:
-                self._store_loaded(name, entry.header.fingerprint, table)
-            return generation
+        if name in self._catalog:
+            raise ValueError(f"a table named {name!r} is already registered")
+        entry = self._stage_table(table, meta)
         with self._write_lock:
-            if name in self._tables or name in self._catalog:
+            existing = self._catalog.get(name)
+            if existing is not None:
+                # lost the race to a concurrent add; drop our staged file
+                # unless the winner staged identical content (same path)
+                if entry.path is not None and entry.path != existing.path:
+                    self._pending_gc.add(entry.path)
+                    self._collect_garbage()
                 raise ValueError(f"a table named {name!r} is already registered")
-            self._tables[name] = table
-            self._generation += 1
-            return self._generation
+            generation = self._publish({**self._catalog, name: entry})
+        self._store_loaded(name, entry, table)
+        return generation
 
     def replace(self, table: Table, meta: dict | None = None) -> int:
         """Register or overwrite a table, invalidating any cached profiles.
@@ -1339,20 +1233,10 @@ class DataRepository:
         if not table.name:
             raise ValueError("repository tables must have a non-empty name")
         name = table.name
-        if self._directory is not None:
-            entry = self._stage_table(table, meta)
-            with self._write_lock:
-                new_catalog = dict(self._catalog)
-                new_catalog[name] = entry
-                generation = self._publish(new_catalog)
-            with self._lru_lock:
-                self._loaded.pop(name, None)
-                self._store_loaded(name, entry.header.fingerprint, table)
-        else:
-            with self._write_lock:
-                self._tables[name] = table
-                self._generation += 1
-                generation = self._generation
+        entry = self._stage_table(table, meta)
+        with self._write_lock:
+            generation = self._publish({**self._catalog, name: entry})
+        self._store_loaded(name, entry, table)
         self.profile_cache.invalidate(name)
         return generation
 
@@ -1365,141 +1249,42 @@ class DataRepository:
         generation.
         """
         with self._write_lock:
-            if name in self._tables:
-                del self._tables[name]
-                self._generation += 1
-                generation = self._generation
-            elif name in self._catalog:
-                new_catalog = dict(self._catalog)
-                del new_catalog[name]
-                generation = self._publish(new_catalog)
-                with self._lru_lock:
-                    self._loaded.pop(name, None)
-            else:
+            if name not in self._catalog:
                 raise KeyError(
                     f"no table named {name!r} in repository; available: {self.table_names}"
                 )
+            new_catalog = dict(self._catalog)
+            del new_catalog[name]
+            generation = self._publish(new_catalog)
+        with self._lru_lock:
+            self._loaded.pop(name, None)
         self.profile_cache.invalidate(name)
         return generation
 
-    # -- access ----------------------------------------------------------------
+    # -- reads: each takes a transient snapshot of the current generation ------
 
-    def get(self, name: str) -> Table:
-        """Look up a table by name, materialising a disk-backed one lazily.
+    get = _read_through_snapshot(RepositorySnapshot.get)
+    header = _read_through_snapshot(RepositorySnapshot.header)
+    schema = _read_through_snapshot(RepositorySnapshot.schema)
+    fingerprint = _read_through_snapshot(RepositorySnapshot.fingerprint)
+    profiles = _read_through_snapshot(RepositorySnapshot.profiles)
+    profiles_many = _read_through_snapshot(RepositorySnapshot.profiles_many)
+    open_chunks = _read_through_snapshot(RepositorySnapshot.open_chunks)
 
-        Concurrent-safe: the LRU entry records the fingerprint it was decoded
-        from, so a ``get`` racing a ``replace`` can never park stale content
-        under the new catalog entry, and a file reclaimed mid-read is retried
-        against the republished generation.
-        """
-        table = self._tables.get(name)
-        if table is not None:
-            return table
-        while True:
-            entry = self._catalog.get(name)
-            if entry is None:
-                raise KeyError(
-                    f"no table named {name!r} in repository; available: {self.table_names}"
-                )
-            fingerprint = entry.header.fingerprint
-            with self._lru_lock:
-                cached = self._loaded.get(name)
-                if cached is not None and cached[0] == fingerprint:
-                    self._loaded.move_to_end(name)
-                    return cached[1]
-            try:
-                table = read_table(entry.path, mmap=self._mmap)
-            except FileNotFoundError:
-                # the table was republished (and its old file reclaimed)
-                # between the catalog read and the open: retry against the
-                # new generation, unless the file is genuinely gone
-                if self._catalog.get(name) is entry:
-                    raise
-                continue
-            break
-        if not table.name:
-            table = table.rename(name)
-        with self._lru_lock:
-            self._store_loaded(name, fingerprint, table)
-        return table
+    def __iter__(self) -> Iterator[Table]:
+        with self.snapshot() as view:
+            yield from view
 
-    def profiles(self, name: str, num_hashes: int = 64) -> dict[str, ColumnProfile]:
-        """Column profiles of one table, served from the profile cache.
+    @property
+    def table_names(self) -> list[str]:
+        """Names of all registered tables."""
+        return list(self._catalog)
 
-        For a disk-backed table the lookup is fingerprint-validated against
-        the catalog header, so a cache hit never reads the table body.  A
-        multi-chunk table profiles chunk-by-chunk on a miss (bounded memory,
-        identical profiles) instead of materialising.
-        """
-        entry = self._catalog.get(name)
-        if entry is not None and name not in self._tables:
-            if entry.header.num_chunks > 1:
-                path, mmap = entry.path, self._mmap
-                return self.profile_cache.get_or_profile_chunked(
-                    name,
-                    entry.header.fingerprint,
-                    opener=lambda: open_chunks(path, mmap=mmap),
-                    num_hashes=num_hashes,
-                )
-            return self.profile_cache.get_or_profile_keyed(
-                name,
-                entry.header.fingerprint,
-                loader=lambda: self.get(name),
-                num_hashes=num_hashes,
-            )
-        return self.profile_cache.get_or_profile(self.get(name), num_hashes=num_hashes)
+    def __contains__(self, name: str) -> bool:
+        return name in self._catalog
 
-    def profiles_many(
-        self,
-        names: Iterable[str] | None = None,
-        num_hashes: int = 64,
-        executor=None,
-    ) -> dict[str, dict[str, ColumnProfile]]:
-        """Profile many tables at once, sharding chunk work over ``executor``.
-
-        The corpus-scale sibling of :meth:`profiles`: fingerprint-validated
-        cache hits are answered from headers alone, and the remaining
-        disk-backed tables fan out as per-(table, chunk-range) shard jobs on
-        the given :class:`~repro.core.executor.JoinExecutor`, merged back with
-        :meth:`ColumnProfileAccumulator.merge
-        <repro.discovery.profiles.ColumnProfileAccumulator.merge>` into
-        profiles **byte-identical** to the serial path (MinHash signatures
-        included) regardless of executor backend or shard boundaries.  With
-        ``executor=None`` (or a one-worker executor) every table takes the
-        plain :meth:`profiles` path.
-        """
-        names = list(names) if names is not None else self.table_names
-        return _profiles_many(
-            cache=self.profile_cache,
-            entry_for=self._catalog.get,
-            serial=lambda name: self.profiles(name, num_hashes=num_hashes),
-            in_memory=self._tables,
-            mmap=self._mmap,
-            names=names,
-            num_hashes=num_hashes,
-            executor=executor,
-        )
-
-    def open_chunks(self, name: str) -> ChunkedTableReader:
-        """Open one disk-backed table for chunk-at-a-time streaming.
-
-        Returns a :class:`~repro.relational.persist.ChunkedTableReader` over
-        the table's current file — a monolithic file presents as one implicit
-        chunk, so callers stream both layouts with one code path.  In-memory
-        tables have no backing file; wrap them with
-        :func:`repro.relational.join.as_chunk_source` instead.
-        """
-        if name in self._tables:
-            raise ValueError(
-                f"table {name!r} is in-memory; open_chunks needs a disk-backed table "
-                f"(wrap in-memory tables with as_chunk_source)"
-            )
-        entry = self._catalog.get(name)
-        if entry is None:
-            raise KeyError(
-                f"no table named {name!r} in repository; available: {self.table_names}"
-            )
-        return open_chunks(entry.path, mmap=self._mmap)
+    def __len__(self) -> int:
+        return len(self._catalog)
 
     def rechunk(
         self, name: str, chunk_rows: int | None = None, sort_by: str | None = None
@@ -1559,7 +1344,7 @@ class DataRepository:
         path = self._directory / f"{name}-{fingerprint[:16]}.{tag}{TABLE_SUFFIX}"
         meta = dict(entry.header.meta or {})
         meta["staged"] = True
-        reader = open_chunks(entry.path, mmap=self._mmap)
+        reader = ChunkedTableReader(entry.path, mmap=self._mmap, header=entry.header)
         if sort_by is not None:
             # global sort order from the key column alone (stable, NaN last —
             # exactly Table.sort_by); rows then stream out as take-slices so
@@ -1617,21 +1402,6 @@ class DataRepository:
             new_catalog = dict(self._catalog)
             new_catalog[name] = new_entry
             return self._publish(new_catalog)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tables or name in self._catalog
-
-    def __len__(self) -> int:
-        return len(self._tables) + len(self._catalog)
-
-    def __iter__(self) -> Iterator[Table]:
-        for name in self.table_names:
-            yield self.get(name)
-
-    @property
-    def table_names(self) -> list[str]:
-        """Names of all registered tables."""
-        return list(self._catalog) + [n for n in self._tables if n not in self._catalog]
 
     # -- ingestion ---------------------------------------------------------------
 

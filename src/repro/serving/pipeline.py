@@ -56,7 +56,6 @@ from repro.ml.persistence import estimator_from_state, estimator_to_state
 from repro.relational.encoding import ColumnEncoderState, FittedEncoder
 from repro.relational.imputation import ColumnImputeState, FittedImputer
 from repro.relational.join import as_chunk_source
-from repro.relational.persist import table_fingerprint
 from repro.relational.schema import CATEGORICAL, ColumnType
 from repro.relational.table import Table
 from repro.selection.base import CLASSIFICATION, FeatureProvenance
@@ -217,8 +216,8 @@ class FittedPipeline:
         Every kept join's foreign table must exist and fingerprint-match its
         train-time content; a drifted or missing table raises
         :class:`~repro.serving.artifact.ArtifactError` — refusing to serve
-        beats silently joining different data.  Disk-backed repositories are
-        validated from catalog headers without reading any table body.
+        beats silently joining different data.  Validation reads catalog
+        fingerprints only, never a table body.
 
         A live :class:`~repro.discovery.repository.DataRepository` is pinned
         as a snapshot of its current manifest generation: validation and every
@@ -245,10 +244,7 @@ class FittedPipeline:
                         f"repository has no table {step.foreign_table!r} "
                         f"required by the fitted join plan"
                     )
-                try:
-                    fingerprint = view.header(step.foreign_table).fingerprint
-                except KeyError:
-                    fingerprint = table_fingerprint(view.get(step.foreign_table))
+                fingerprint = view.fingerprint(step.foreign_table)
                 if fingerprint != step.fingerprint:
                     raise ArtifactError(
                         f"table {step.foreign_table!r} drifted since training: "
@@ -694,14 +690,10 @@ def fit_pipeline_from_training(
     provenance: list[FeatureProvenance] = []
     batch_of_spec = batch_of_spec or {}
     for index, (candidate, positions, names) in enumerate(kept_specs):
-        try:
-            fingerprint = repository.header(candidate.foreign_table).fingerprint
-        except KeyError:
-            fingerprint = table_fingerprint(repository.get(candidate.foreign_table))
         joins.append(
             JoinStep(
                 foreign_table=candidate.foreign_table,
-                fingerprint=fingerprint,
+                fingerprint=repository.fingerprint(candidate.foreign_table),
                 keys=[(k.base_column, k.foreign_column, k.soft) for k in candidate.keys],
                 positions=positions,
                 column_names=names,

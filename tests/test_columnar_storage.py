@@ -23,6 +23,7 @@ from repro.relational.column import Column
 from repro.relational.encoding import encode_features, encode_target
 from repro.relational.imputation import impute_categorical_random
 from repro.relational.join import _match_first_occurrence, _match_via_hash_index
+from repro.relational.persist import table_fingerprint
 from repro.relational.schema import CATEGORICAL
 from repro.relational.table import Table
 
@@ -324,12 +325,18 @@ class TestProfileCacheThreadSafety:
         tables = [
             Table.from_dict({"k": [f"v{i}", f"w{i}"]}, name=f"t{i}") for i in range(8)
         ]
+        fingerprints = [table_fingerprint(table) for table in tables]
         n_threads, rounds = 8, 50
 
         def worker():
             for _ in range(rounds):
-                for table in tables:
-                    cache.get_or_profile(table, num_hashes=8)
+                for table, fingerprint in zip(tables, fingerprints):
+                    cache.lookup(
+                        table.name,
+                        fingerprint,
+                        lambda table=table, fingerprint=fingerprint: (fingerprint, table),
+                        num_hashes=8,
+                    )
 
         threads = [threading.Thread(target=worker) for _ in range(n_threads)]
         for t in threads:
@@ -345,7 +352,9 @@ class TestProfileCacheThreadSafety:
 
     def test_cache_survives_pickling_without_lock(self):
         cache = ProfileCache()
-        cache.get_or_profile(Table.from_dict({"k": ["a"]}, name="t"))
+        table = Table.from_dict({"k": ["a"]}, name="t")
+        fingerprint = table_fingerprint(table)
+        cache.lookup("t", fingerprint, lambda: (fingerprint, table))
         restored = pickle.loads(pickle.dumps(cache))
         assert restored.stats()["entries"] == 1
         restored.invalidate()  # lock was recreated and works

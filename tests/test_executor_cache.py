@@ -21,6 +21,7 @@ from repro.discovery import JoinDiscovery, ProfileCache
 from repro.discovery.profiles import profile_table
 from repro.discovery.repository import DataRepository
 from repro.relational import Table
+from repro.relational.persist import table_fingerprint
 
 FAST_RIFS = {"n_rounds": 2}
 
@@ -286,14 +287,18 @@ class TestProfileCache:
         assert set(profiles) == set(repo.table_names)
         assert (repo.profile_cache.misses, repo.profile_cache.hits) == (3, 0)
 
-    def test_standalone_cache_identity_guard(self):
+    def test_standalone_cache_content_guard(self):
+        def lookup(table):
+            fingerprint = table_fingerprint(table)
+            return cache.lookup(table.name, fingerprint, lambda: (fingerprint, table))
+
         cache = ProfileCache()
         table = _repo_with(1).get("t0")
-        cache.get_or_profile(table)
-        cache.get_or_profile(table)
+        lookup(table)
+        lookup(table)
         assert (cache.hits, cache.misses) == (1, 1)
-        # same name, different object: identity guard forces a re-profile
-        cache.get_or_profile(table.copy())
+        # same name, different content: the fingerprint forces a re-profile
+        lookup(table.take(np.arange(table.num_rows - 1)))
         assert cache.misses == 2
 
 

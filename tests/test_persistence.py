@@ -457,9 +457,13 @@ class TestProfilePersistence:
             cache.load(path)
 
     def test_in_memory_cache_save_load_by_fingerprint(self, tmp_path):
+        def lookup(cache, table):
+            fingerprint = table_fingerprint(table)
+            return cache.lookup("t", fingerprint, lambda: (fingerprint, table), num_hashes=16)
+
         table = Table.from_dict({"k": ["a", "b", "a"], "x": [1.0, 2.0, None]}, name="t")
         cache = ProfileCache()
-        cache.get_or_profile(table, num_hashes=16)
+        lookup(cache, table)
         path = tmp_path / "profiles.cache"
         assert cache.save(path) == 1
 
@@ -467,15 +471,15 @@ class TestProfilePersistence:
         assert restored.load(path) == 1
         # an equal-content table object hits via fingerprint validation...
         same = Table.from_dict({"k": ["a", "b", "a"], "x": [1.0, 2.0, None]}, name="t")
-        profiles = restored.get_or_profile(same, num_hashes=16)
+        profiles = lookup(restored, same)
         assert restored.stats()["hits"] == 1
         assert profiles["k"].num_distinct == 2
-        # ...and is re-bound to the identity fast path
-        restored.get_or_profile(same, num_hashes=16)
+        # ...and keeps hitting
+        lookup(restored, same)
         assert restored.stats()["hits"] == 2
         # different content misses
         other = Table.from_dict({"k": ["zzz"], "x": [0.0]}, name="t")
-        restored.get_or_profile(other, num_hashes=16)
+        lookup(restored, other)
         assert restored.stats()["misses"] == 1
 
     def test_save_profiles_requires_path_for_in_memory_repo(self):

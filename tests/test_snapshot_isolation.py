@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import gc
 import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.executor import make_executor
+from repro.discovery.profiles import profile_table_chunks
 from repro.discovery.repository import (
     MANIFEST_NAME,
     PROFILE_SIDECAR,
@@ -455,18 +459,19 @@ class TestProfileSidecarStaleness:
         old = make_table("a", 1.0)
         new = make_table("a", 9.0)
         old_fp, new_fp = table_fingerprint(old), table_fingerprint(new)
-        # request profiles for old_fp, but the loader already sees new content
-        profiles = cache.get_or_profile_keyed("a", old_fp, loader=lambda: new)
+        # request profiles for old_fp, but the opened source already holds
+        # the new content (and reports its fingerprint)
+        profiles = cache.lookup("a", old_fp, lambda: (new_fp, new))
         assert profiles["v"].max_value == 10.0
         # the racy miss was stored under the content's ACTUAL fingerprint, so
         # the new fingerprint hits it without loading
-        assert cache.get_or_profile_keyed(
-            "a", new_fp, loader=lambda: pytest.fail("must not load on a hit")
+        assert cache.lookup(
+            "a", new_fp, lambda: pytest.fail("must not load on a hit")
         )["v"].max_value == 10.0
         # while the stale key MISSES (and reprofiles), instead of serving the
         # new-content profiles it asked the old fingerprint for
         cache.reset_counters()
-        served = cache.get_or_profile_keyed("a", old_fp, loader=lambda: old)
+        served = cache.lookup("a", old_fp, lambda: (old_fp, old))
         assert served["v"].max_value == 2.0
         assert cache.stats()["misses"] == 1
 
@@ -815,3 +820,186 @@ class TestStress:
         history = run_workload(repo, config)
         assert_history_clean(history, repro_dir=si_repro_dir)
         assert repo.live_snapshots == 0
+
+
+# -- one read path: a live read is a read through a transient snapshot ------------------
+
+
+def profile_states(profiles) -> dict:
+    return {column: profile.to_state() for column, profile in profiles.items()}
+
+
+def read_path_tables() -> list[Table]:
+    return [
+        Table.from_dict(
+            {
+                "k": [f"key{(i * 7 + index) % 11}" for i in range(40)],
+                "x": [float(i % 13) if i % 9 else None for i in range(40)],
+                "y": [float(index * 100 + i) for i in range(40)],
+            },
+            name=f"t{index}",
+        )
+        for index in range(3)
+    ]
+
+
+@pytest.fixture(params=["memory", "monolithic", "chunked"])
+def layout_repo(request, tmp_path):
+    """The same three tables in memory, as monolithic files and as 3-chunk files."""
+    if request.param == "memory":
+        return DataRepository(read_path_tables())
+    chunk_rows = 0 if request.param == "monolithic" else 16
+    writer = DataRepository.open(tmp_path, chunk_rows=chunk_rows)
+    for table in read_path_tables():
+        writer.add(table)
+    repo = DataRepository.open(tmp_path)  # cold: every read decodes from disk
+    assert {repo.header(name).num_chunks for name in repo.table_names} == {
+        1 if chunk_rows == 0 else 3
+    }
+    return repo
+
+
+class TestOneReadPath:
+    def test_repository_reads_equal_fresh_snapshot_reads(self, layout_repo):
+        repo = layout_repo
+        with repo.snapshot() as snap:
+            assert repo.table_names == snap.table_names == ["t0", "t1", "t2"]
+            assert len(repo) == len(snap) == 3
+            assert "t1" in repo and "t1" in snap
+            assert "nope" not in repo and "nope" not in snap
+            for name in repo.table_names:
+                table = repo.get(name)
+                assert table == snap.get(name)
+                assert repo.schema(name) == snap.schema(name) == table.schema()
+                assert repo.fingerprint(name) == snap.fingerprint(name)
+                assert repo.fingerprint(name) == table_fingerprint(table)
+                assert profile_states(repo.profiles(name)) == profile_states(
+                    snap.profiles(name)
+                )
+                assert repo.open_chunks(name).table() == snap.open_chunks(name).table()
+                assert repo.open_chunks(name).table() == table
+                if repo.is_disk_backed:
+                    assert repo.header(name) == snap.header(name)
+                else:
+                    with pytest.raises(KeyError):
+                        repo.header(name)
+                    with pytest.raises(KeyError):
+                        snap.header(name)
+
+    def test_profiles_many_equal_on_both_paths(self, layout_repo):
+        repo = layout_repo
+        expected = {
+            table.name: profile_states(profile_table_chunks(table))
+            for table in read_path_tables()
+        }
+        with repo.snapshot() as snap, make_executor("thread", 2) as executor:
+            for view in (repo, snap):
+                for pool in (None, executor):
+                    repo.profile_cache.invalidate()  # profile, don't serve hits
+                    profiles = view.profiles_many(executor=pool)
+                    assert {
+                        name: profile_states(table_profiles)
+                        for name, table_profiles in profiles.items()
+                    } == expected
+
+    def test_in_memory_open_chunks_is_a_one_chunk_source(self):
+        table = read_path_tables()[0]
+        repo = DataRepository([table])
+        source = repo.open_chunks("t0")
+        assert source.num_chunks == 1
+        assert source.chunk(0) == table
+        assert source.table() == table
+
+
+@pytest.mark.stress
+class TestLiveReadsUnderConcurrentReplace:
+    """Live ``get`` / ``profiles`` calls race one writer's ``replace`` loop.
+
+    Each live read pins a transient snapshot, so it must see exactly one
+    published version: no read raises on a reclaimed file, no table read
+    has unpublished content, no profile describes anything but a published
+    version, and no cache entry pairs one version's fingerprint with
+    another's profiles.  Garbage collection must still reclaim every
+    superseded file.  Sized by ``ARDA_STRESS`` (writer rounds).
+    """
+
+    @staticmethod
+    def version(name: str, index: int) -> Table:
+        return Table.from_dict(
+            {
+                "k": [float(i) for i in range(12)],
+                "v": [float(index * 12 + i) for i in range(12)],
+                "c": [f"{name}{index}-{i % 3}" for i in range(12)],
+            },
+            name=name,
+        )
+
+    @pytest.mark.parametrize("chunk_rows", [0, 4], ids=["monolithic", "chunked"])
+    def test_live_reads_see_only_published_versions(self, tmp_path, chunk_rows):
+        names = ["a", "b"]
+        rounds = stress_iterations(default=8)
+        versions = [self.version(name, i) for i in range(rounds + 1) for name in names]
+        expected = {
+            table_fingerprint(table): (table.name, profile_states(profile_table_chunks(table)))
+            for table in versions
+        }
+        published_profiles = {pickle.dumps(states) for _name, states in expected.values()}
+        repo = DataRepository.open(tmp_path, chunk_rows=chunk_rows)
+        for table in versions[: len(names)]:
+            repo.add(table)
+
+        start = threading.Barrier(3, timeout=60)
+        done = threading.Event()
+        failures: list[Exception] = []
+        table_reads: list[str] = []
+        profile_reads: dict[int, dict] = {}
+
+        def writer():
+            start.wait()
+            try:
+                for table in versions[len(names):]:
+                    repo.replace(table)
+            finally:
+                done.set()
+
+        def reader(offset: int):
+            start.wait()
+            count = 0
+            while not done.is_set() or count < 4:
+                name = names[(count + offset) % len(names)]
+                count += 1
+                try:
+                    table_reads.append(table_fingerprint(repo.get(name)))
+                    profiles = repo.profiles(name)
+                except Exception as exc:
+                    failures.append(exc)
+                    return
+                profile_reads[id(profiles)] = profiles
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(offset,)) for offset in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often: widen every race window
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=600)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        assert failures == []
+        assert table_reads and set(table_reads) <= set(expected)
+        for profiles in profile_reads.values():
+            assert pickle.dumps(profile_states(profiles)) in published_profiles
+        for fingerprint, (name, states) in expected.items():
+            cached = repo.profile_cache.peek(name, fingerprint)
+            assert cached is None or profile_states(cached) == states
+        assert repo.live_snapshots == 0
+        manifest = read_manifest(tmp_path / MANIFEST_NAME)
+        assert manifest.generation == repo.generation == len(versions)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [MANIFEST_NAME, *manifest.files()]
+        )

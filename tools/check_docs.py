@@ -1,7 +1,7 @@
 """Docs gate: link-check, API-coverage check and README snippet runner.
 
 Run from the repository root (CI's ``docs`` job, or locally with
-``PYTHONPATH=src python tools/check_docs.py``).  Four checks, all of which
+``PYTHONPATH=src python tools/check_docs.py``).  Five checks, all of which
 must pass:
 
 1. **Links** — every markdown link in ``README.md``, ``docs/*.md`` and
@@ -17,13 +17,18 @@ must pass:
    ``SweepConfig`` tables in ``docs/API.md`` match the dataclasses in both
    directions: every ``field`` (``default``) entry names an existing field
    with exactly that default, and every field has an entry.
-4. **README snippets** — every fenced ```` ```python ```` block in
+4. **Call signatures** — the signatures in the ``docs/API.md`` subsystem
+   tables match the code in both directions: every parameter a signature
+   names exists on the callable, and a signature not shortened with ``...``
+   names every required positional parameter.
+5. **README snippets** — every fenced ```` ```python ```` block in
    ``README.md`` is executed verbatim, in order, in one shared namespace
    inside a temporary working directory.  The quickstart cannot rot.
 """
 
 from __future__ import annotations
 
+import inspect
 import re
 import sys
 import tempfile
@@ -54,6 +59,7 @@ KNOB_TABLES = {
 }
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_CODE_RE = re.compile(r"`([^`]*)`")
 _KNOB_RE = re.compile(r"`(\w+)` \(`([^`]*)`\)")
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*)$")
 
@@ -195,6 +201,117 @@ def check_knob_tables() -> list[str]:
     return failures
 
 
+def _split_top_level(text: str) -> list[str]:
+    """Split a parameter list on the commas outside brackets and quotes."""
+    parts, depth, quote, current = [], 0, None, ""
+    for char in text:
+        if quote:
+            quote = None if char == quote else quote
+        elif char in "\"'":
+            quote = char
+        elif char in "([{":
+            depth += 1
+        elif char in ")]}":
+            depth -= 1
+        elif char == "," and depth == 0:
+            parts.append(current.strip())
+            current = ""
+            continue
+        current += char
+    if current.strip():
+        parts.append(current.strip())
+    return parts
+
+
+def _call_form(token: str) -> tuple[str, list[str]] | None:
+    """``(callee, parameters)`` of a ``callee(params) ...`` code token."""
+    start = token.find("(")
+    if start < 0:
+        return None
+    depth = 0
+    for end in range(start, len(token)):
+        depth += {"(": 1, ")": -1}.get(token[end], 0)
+        if depth == 0:
+            return token[:start], _split_top_level(token[start + 1 : end])
+    return None
+
+
+def _signature_problems(label: str, form: str, params: list[str], obj) -> list[str]:
+    """Mismatches between one documented call form and the callable ``obj``."""
+    try:
+        signature = inspect.signature(obj)
+    except (TypeError, ValueError):
+        return []
+    parameters = [p for p in signature.parameters.values() if p.name != "self"]
+    named = [re.split(r"[=:]", p, maxsplit=1)[0].strip().lstrip("*") for p in params]
+    named = [name for name in named if name and name != "..."]
+    problems = []
+    if not any(p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in parameters):
+        known = {p.name for p in parameters}
+        unknown = [name for name in named if name not in known]
+        if unknown:
+            problems.append(f"`{form}` names {unknown}, which {label} does not take")
+    if "..." not in params:
+        required = [
+            p.name
+            for p in parameters
+            if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        ]
+        missing = [name for name in required if name not in named]
+        if missing:
+            problems.append(
+                f"`{form}` leaves out required {missing} of {label} (or shorten it with `...`)"
+            )
+    return problems
+
+
+def check_call_signatures() -> list[str]:
+    """Every call form in an API.md subsystem table matches its callable.
+
+    A row's signature cell holds backticked call forms: ``name(...)`` for an
+    exported name of the row, ``Name.method(...)`` / ``.method(...)`` /
+    ``method(...)`` for a method of the row's first name, or a bare
+    ``(...)`` shared by every name of the row.
+    """
+    import importlib
+
+    failures: list[str] = []
+    module = None
+    for lineno, line in enumerate(API_REFERENCE.read_text(encoding="utf-8").splitlines(), 1):
+        heading = re.match(r"^## `(repro[\w.]*)`", line)
+        if heading:
+            module = importlib.import_module(heading.group(1))
+            continue
+        if line.startswith("## "):
+            module = None
+        if module is None or not line.startswith("| `"):
+            continue
+        cells = line.split("|")
+        names = [name for name in _CODE_RE.findall(cells[1]) if hasattr(module, name)]
+        owner = getattr(module, names[0], None) if names else None
+        for token in _CODE_RE.findall(cells[2]):
+            form = _call_form(token)
+            if form is None:
+                continue
+            callee, params = form
+            head, _, attribute = callee.rpartition(".")
+            if not callee:
+                targets = [(name, getattr(module, name)) for name in names]
+            elif callee in names:
+                targets = [(callee, getattr(module, callee))]
+            elif hasattr(owner, attribute) and head in ("", names[0]):
+                targets = [(f"{names[0]}.{attribute}", getattr(owner, attribute))]
+            else:
+                continue
+            for label, obj in targets:
+                if callable(obj):
+                    failures += [
+                        f"docs/API.md:{lineno}: {problem}"
+                        for problem in _signature_problems(label, token, params, obj)
+                    ]
+    return failures
+
+
 def run_readme_snippets() -> list[str]:
     """Execute every ```python block of README.md in one shared namespace."""
     readme = ROOT / "README.md"
@@ -242,6 +359,8 @@ def main() -> int:
     failures += check_api_coverage()
     print("checking docs/API.md knob tables against the config dataclasses ...")
     failures += check_knob_tables()
+    print("checking docs/API.md call signatures against the code ...")
+    failures += check_call_signatures()
     print("running README.md python snippets ...")
     failures += run_readme_snippets()
     if failures:
@@ -251,7 +370,7 @@ def main() -> int:
         return 1
     print(
         "docs ok: links resolve, API reference covers all exports, "
-        "knob tables match the config dataclasses, snippets run"
+        "knob tables and call signatures match the code, snippets run"
     )
     return 0
 
