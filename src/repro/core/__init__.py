@@ -9,7 +9,12 @@ from repro.core.executor import (
     make_executor,
 )
 from repro.core.join_plan import JoinBatch, build_join_plan
-from repro.core.join_execution import execute_join, join_candidates, replay_kept_joins
+from repro.core.join_execution import (
+    execute_join,
+    join_candidates,
+    prepare_kept_joins,
+    replay_kept_joins,
+)
 from repro.core.arda import ARDA
 from repro.core.results import AugmentationReport, BatchReport
 
@@ -29,5 +34,6 @@ __all__ = [
     "build_join_plan",
     "execute_join",
     "join_candidates",
+    "prepare_kept_joins",
     "replay_kept_joins",
 ]

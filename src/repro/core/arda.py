@@ -27,7 +27,11 @@ from repro.coreset import make_coreset_builder
 from repro.coreset.base import default_coreset_size
 from repro.core.config import ARDAConfig
 from repro.core.executor import make_executor
-from repro.core.join_execution import join_candidates_detailed, replay_kept_joins
+from repro.core.join_execution import (
+    join_candidates_detailed,
+    kept_build_side,
+    replay_kept_joins,
+)
 from repro.core.join_plan import build_join_plan
 from repro.core.results import AugmentationReport, BatchReport
 from repro.datasets.bundle import AugmentationDataset
@@ -40,7 +44,6 @@ from repro.relational.encoding import encode_features_binned, to_design_matrix
 from repro.relational.imputation import impute_table
 from repro.relational.join import (
     StreamJoinStats,
-    _output_names,
     as_chunk_source,
     iter_grace_left_join,
     iter_streaming_left_join,
@@ -494,12 +497,13 @@ class ARDA:
         (build once, zone-map pruning, one chunk in memory), or
         :func:`~repro.relational.join.iter_grace_left_join` when the build
         side must spill.  Every build side is first projected to its keys plus
-        the kept output columns (dropped columns are never aggregated or
-        decoded), and a projected build that still exceeds
+        the kept columns (:func:`~repro.core.join_execution.kept_build_side`,
+        which the replay kernel's prepare step uses too: dropped columns are
+        never aggregated or decoded), and a projected build that still exceeds
         ``config.memory_budget`` (or when ``config.spill_partitions`` forces
-        it) spills.  The iterators advance in lockstep; each kept column is
-        picked from its join's output chunk by output name and renamed to its
-        pinned name, exactly as
+        it) spills.  The iterators advance in lockstep; each join's output
+        chunk ends with exactly its kept columns, which are renamed to their
+        pinned names, as
         :func:`~repro.core.join_execution.replay_kept_joins` does, before the
         chunk is written out through
         :func:`~repro.relational.persist.write_table_stream`.  Concatenating
@@ -535,27 +539,19 @@ class ARDA:
             )
             return augmented_path, stats
 
-        base_names = source.schema().names
-        # per kept join: its output-chunk iterator and (output, pinned) names
-        joins: list[tuple[Iterator[Table], list[tuple[str, str]]]] = []
+        width = len(source.column_names)
+        # per kept join: its output-chunk iterator and pinned names
+        joins: list[tuple[Iterator[Table], list[str]]] = []
         for candidate, positions, names in kept_specs:
-            foreign = repository.get(candidate.foreign_table)
-            foreign = foreign.prefix_columns(
-                f"{foreign.name}.", exclude=candidate.foreign_columns
+            projected = kept_build_side(
+                repository.get(candidate.foreign_table), candidate, positions
             )
-            key_pairs = candidate.key_pairs()
-            right_keys = [pair[1] for pair in key_pairs]
-            # project the build side to keys + kept output columns: columns
-            # the selector dropped are never aggregated, hashed, or decoded
-            pairs_full = _output_names(foreign, right_keys, base_names, "_r")
-            kept_right = [pairs_full[position][0] for position in positions]
-            projected = foreign.select(list(dict.fromkeys(right_keys + kept_right)))
             table_stats = stats.setdefault(candidate.foreign_table, StreamJoinStats())
             if needs_spill(projected, config.memory_budget, config.spill_partitions):
                 joined = iter_grace_left_join(
                     source,
                     as_chunk_source(projected, chunk_rows=config.chunk_rows),
-                    on=key_pairs,
+                    on=candidate.key_pairs(),
                     num_partitions=config.spill_partitions,
                     memory_budget=config.memory_budget,
                     spill_dir=config.spill_dir,
@@ -563,27 +559,27 @@ class ARDA:
                 )
             else:
                 joined = iter_streaming_left_join(
-                    source, projected, on=key_pairs, stats=table_stats
+                    source, projected, on=candidate.key_pairs(), stats=table_stats
                 )
-            output_of = dict(_output_names(projected, right_keys, base_names, "_r"))
-            joins.append(
-                (joined, [(output_of[right], name) for right, name in zip(kept_right, names)])
-            )
+            joins.append((joined, names))
 
         def augmented_chunks() -> Iterator[Table]:
             if not joins:
                 yield from source.iter_chunks()
                 return
             try:
-                for outs in zip(*(joined for joined, _picks in joins)):
-                    columns = [outs[0].column(name) for name in base_names]
-                    for out, (_joined, picks) in zip(outs, joins):
+                for outs in zip(*(joined for joined, _names in joins)):
+                    columns = outs[0].columns()[:width]
+                    # each output chunk is the base chunk followed by exactly
+                    # the kept columns, in position order
+                    for out, (_joined, names) in zip(outs, joins):
                         columns.extend(
-                            out.column(output).rename(name) for output, name in picks
+                            column.rename(name)
+                            for column, name in zip(out.columns()[width:], names)
                         )
                     yield Table(columns, name=source.name)
             finally:
-                for joined, _picks in joins:
+                for joined, _names in joins:
                     joined.close()  # a spill join removes its files on close
 
         write_table_stream(

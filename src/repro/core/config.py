@@ -313,10 +313,12 @@ class ServingConfig:
         Also bounds how long one request handler waits for its result before
         answering HTTP 504.
     executor / n_jobs:
-        Join-replay backend used by each scorer worker (see
+        Backend each scorer worker replays *soft-key* joins on (see
         :attr:`ARDAConfig.executor`); results are identical across backends.
-        The default serial executor is right for micro-batches — worker
-        threads already provide the concurrency.
+        Hard-key joins probe build sides prepared once per loaded generation,
+        inline, so a join plan without soft keys never uses it.  The default
+        serial executor is right for micro-batches — worker threads already
+        provide the concurrency.
     """
 
     host: str = "127.0.0.1"

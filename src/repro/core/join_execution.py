@@ -12,15 +12,17 @@ Execution handles everything section 4 of the paper describes:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.executor import JoinExecutor, SerialJoinExecutor, longest_first_order
 from repro.discovery.candidates import JoinCandidate
 from repro.discovery.repository import DataRepository
 from repro.relational.column import Column
-from repro.relational.join import left_join
+from repro.relational.join import StreamingHashJoin, left_join
 from repro.relational.resample import align_time_granularity
-from repro.relational.schema import DATETIME
+from repro.relational.schema import DATETIME, Schema
 from repro.relational.soft_join import nearest_join, two_way_nearest_join
 from repro.relational.table import Table, unique_name
 
@@ -119,6 +121,93 @@ def _contributed_columns(
     return [col for col in joined.columns() if col.name not in base_names]
 
 
+def _map_candidate_joins(
+    base: Table,
+    foreigns: list[Table],
+    candidates: list[JoinCandidate],
+    soft_strategy: str,
+    time_resample: bool,
+    rngs: list[np.random.Generator | None],
+    executor: JoinExecutor | None,
+    widths: list[int],
+) -> list[list[Column]]:
+    """Run each candidate's join on ``executor``; the columns each added, in
+    candidate order.
+
+    Each task ships only the base's key columns: the join match depends on
+    nothing else, and a process worker then never pickles feature data.
+    Tasks are submitted widest first (LPT scheduling, by ``widths``) to
+    minimise pool makespan, and results are mapped back to candidate order.
+    """
+    tasks = [
+        (
+            base.select(list(dict.fromkeys(candidate.base_columns))),
+            foreign,
+            candidate,
+            soft_strategy,
+            time_resample,
+            rng,
+        )
+        for foreign, candidate, rng in zip(foreigns, candidates, rngs)
+    ]
+    order = longest_first_order(widths)
+    mapped = (executor or SerialJoinExecutor()).map(
+        _contributed_columns, [tasks[i] for i in order]
+    )
+    results: list[list[Column]] = [[] for _ in tasks]
+    for rank, index in enumerate(order):
+        results[index] = mapped[rank]
+    return results
+
+
+def kept_build_side(
+    foreign: Table, candidate: JoinCandidate, positions: Sequence[int]
+) -> Table:
+    """The build side of one kept hard-key join, projected to what it keeps.
+
+    ``foreign`` is prefixed exactly as :func:`execute_join` prefixes it, and
+    ``positions`` index its non-key columns in table order — the columns its
+    join adds.  The result holds the foreign key columns followed by the
+    kept columns in ``positions`` order, so columns feature selection
+    dropped are never aggregated, hashed or decoded, and a LEFT join against
+    it adds exactly the kept columns, in ``positions`` order.
+    """
+    foreign = foreign.prefix_columns(f"{foreign.name}.", exclude=candidate.foreign_columns)
+    keys = list(dict.fromkeys(candidate.foreign_columns))
+    added = [name for name in foreign.column_names if name not in keys]
+    return foreign.select(keys + [added[position] for position in positions])
+
+
+def prepare_kept_joins(
+    repository: DataRepository,
+    specs: list[tuple[JoinCandidate, list[int], list[str]]],
+    left_schema: Schema,
+) -> list[StreamingHashJoin | None]:
+    """The half of :func:`replay_kept_joins` that depends only on the repository.
+
+    Returns, aligned with ``specs``, one :class:`StreamingHashJoin` per
+    hard-key kept join, built over its :func:`kept_build_side`: validation,
+    duplicate-key pre-aggregation and output naming run here, once, and a
+    replay only probes and gathers.  ``left_schema`` must hold the base key
+    columns.  A soft-key join needs the base rows themselves
+    (nearest-neighbour context, time resampling), so its entry is ``None``
+    and every replay re-executes it.  The result is valid for as long as
+    ``repository`` serves the same table versions — a pinned
+    :class:`~repro.discovery.repository.RepositorySnapshot` never changes, so
+    for the snapshot's whole life.
+    """
+    return [
+        None
+        if candidate.is_soft
+        else StreamingHashJoin(
+            kept_build_side(repository.get(candidate.foreign_table), candidate, positions),
+            candidate.key_pairs(),
+            left_schema,
+        )
+        for candidate, positions, _names in specs
+    ]
+
+
 def replay_kept_joins(
     base: Table,
     repository: DataRepository,
@@ -127,6 +216,7 @@ def replay_kept_joins(
     time_resample: bool = True,
     rng: np.random.Generator | None = None,
     executor: JoinExecutor | None = None,
+    prepared: list[StreamingHashJoin | None] | None = None,
 ) -> Table:
     """Re-execute a list of kept joins on ``base`` under pinned output names.
 
@@ -139,26 +229,48 @@ def replay_kept_joins(
     exactly the chosen columns under the recorded names, on any base table
     that provides the key columns.
 
+    ``prepared`` is :func:`prepare_kept_joins` of the same ``repository``
+    and ``specs``; it is built here when omitted.  A caller that replays
+    many bases against one pinned view prepares once and passes it to every
+    call, which then pays only the per-row work: a hard-key join probes its
+    prepared build side and gathers inline, and only soft-key joins run on
+    ``executor``.
+
     This is the single replay kernel behind both the training-time final
     materialisation (:meth:`repro.core.arda.ARDA.augment_tables`) and the
     serving-time :meth:`repro.serving.FittedPipeline.transform` — train and
     serve cannot drift because they run the same code.  Determinism matches
-    :func:`join_candidates_detailed`: per-candidate RNGs are spawned from
-    ``rng``, so results are byte-identical across executor backends.
+    :func:`join_candidates_detailed`: each spec gets the child generator
+    spawned from ``rng`` at its index, so results are byte-identical across
+    executor backends.
     """
-    joined, added_per_candidate = join_candidates_detailed(
-        base,
-        repository,
-        [spec[0] for spec in specs],
-        soft_strategy=soft_strategy,
-        time_resample=time_resample,
-        rng=rng,
-        executor=executor,
-    )
+    if prepared is None:
+        prepared = prepare_kept_joins(repository, specs, base.schema())
+    soft = [index for index, build in enumerate(prepared) if build is None]
+    soft_added: dict[int, list[Column]] = {}
+    if soft:
+        child_rngs = rng.spawn(len(specs)) if rng is not None else [None] * len(specs)
+        candidates = [specs[index][0] for index in soft]
+        foreigns = [repository.get(candidate.foreign_table) for candidate in candidates]
+        added = _map_candidate_joins(
+            base,
+            foreigns,
+            candidates,
+            soft_strategy,
+            time_resample,
+            [child_rngs[index] for index in soft],
+            executor,
+            [foreign.num_columns for foreign in foreigns],
+        )
+        soft_added = dict(zip(soft, added))
     out_columns = list(base.columns())
-    for (candidate, positions, names), added in zip(specs, added_per_candidate):
-        for position, name in zip(positions, names):
-            out_columns.append(joined.column(added[position]).rename(name))
+    for index, ((_candidate, positions, names), build) in enumerate(zip(specs, prepared)):
+        if build is None:
+            kept = [soft_added[index][position] for position in positions]
+        else:
+            # the build side holds exactly the kept columns, in position order
+            kept = build.gather(build.probe_chunk(base))
+        out_columns.extend(column.rename(name) for column, name in zip(kept, names))
     return Table(out_columns, name=base.name)
 
 
@@ -235,25 +347,13 @@ def join_candidates_detailed(
     candidates = list(candidates)
     if not candidates:
         return base, []
-    if executor is None:
-        executor = SerialJoinExecutor()
     child_rngs = rng.spawn(len(candidates)) if rng is not None else [None] * len(candidates)
     foreigns = [repository.get(c.foreign_table) for c in candidates]
-    tasks = []
-    for foreign, candidate, child_rng in zip(foreigns, candidates, child_rngs):
-        # ship only the key columns of the base: the join match depends on
-        # nothing else, and a process worker then never pickles feature data
-        base_view = base.select(list(dict.fromkeys(candidate.base_columns)))
-        tasks.append((base_view, foreign, candidate, soft_strategy, time_resample, child_rng))
-    # submit widest tables first (LPT scheduling) to minimise pool makespan;
-    # results are mapped back to candidate order before merging
     if widths is None or len(widths) != len(candidates):
         widths = [foreign.num_columns for foreign in foreigns]
-    order = longest_first_order(widths)
-    mapped = executor.map(_contributed_columns, [tasks[i] for i in order])
-    results: list[list[Column]] = [[] for _ in tasks]
-    for rank, index in enumerate(order):
-        results[index] = mapped[rank]
+    results = _map_candidate_joins(
+        base, foreigns, candidates, soft_strategy, time_resample, child_rngs, executor, widths
+    )
 
     out_columns = list(base.columns())
     existing = set(base.column_names)

@@ -96,6 +96,31 @@ def write_artifact(path: str | Path, doc: dict, arrays: dict[str, np.ndarray]) -
     atomic_replace(path, write_to)
 
 
+def _parse_header(prefix: bytes, read_header, label) -> dict:
+    """Validate the magic/version ``prefix`` and parse the JSON header that
+    ``read_header(length)`` returns."""
+    if len(prefix) < _PREFIX_LEN or prefix[: len(MAGIC)] != MAGIC:
+        raise ArtifactError(f"{label}: not a pipeline artifact (bad magic)")
+    version = int.from_bytes(prefix[len(MAGIC) : len(MAGIC) + 4], "little")
+    if version != ARTIFACT_VERSION:
+        raise ArtifactError(
+            f"{label}: unsupported artifact version {version} "
+            f"(this build reads version {ARTIFACT_VERSION})"
+        )
+    header_len = int.from_bytes(prefix[len(MAGIC) + 4 : _PREFIX_LEN], "little")
+    header_bytes = read_header(header_len)
+    if len(header_bytes) < header_len:
+        raise ArtifactError(f"{label}: truncated header")
+    try:
+        header = json.loads(header_bytes)
+    except json.JSONDecodeError as exc:
+        raise ArtifactError(f"{label}: corrupt header JSON: {exc}") from None
+    if header.get("format") != _FORMAT:
+        raise ArtifactError(f"{label}: not a {_FORMAT} artifact")
+    header["_pages_start"] = _align(_PREFIX_LEN + header_len)
+    return header
+
+
 def read_artifact_header(path: str | Path) -> dict:
     """Read and validate only the JSON header of an artifact.
 
@@ -104,53 +129,37 @@ def read_artifact_header(path: str | Path) -> dict:
     """
     path = Path(path)
     with path.open("rb") as handle:
-        prefix = handle.read(_PREFIX_LEN)
-        if len(prefix) < _PREFIX_LEN or prefix[: len(MAGIC)] != MAGIC:
-            raise ArtifactError(f"{path}: not a pipeline artifact (bad magic)")
-        version = int.from_bytes(prefix[len(MAGIC) : len(MAGIC) + 4], "little")
-        if version != ARTIFACT_VERSION:
-            raise ArtifactError(
-                f"{path}: unsupported artifact version {version} "
-                f"(this build reads version {ARTIFACT_VERSION})"
-            )
-        header_len = int.from_bytes(prefix[len(MAGIC) + 4 :], "little")
-        header_bytes = handle.read(header_len)
-    if len(header_bytes) < header_len:
-        raise ArtifactError(f"{path}: truncated header")
-    try:
-        header = json.loads(header_bytes)
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path}: corrupt header JSON: {exc}") from None
-    if header.get("format") != _FORMAT:
-        raise ArtifactError(f"{path}: not a {_FORMAT} artifact")
-    header["_pages_start"] = _align(_PREFIX_LEN + header_len)
-    return header
+        return _parse_header(handle.read(_PREFIX_LEN), handle.read, path)
 
 
-def read_artifact(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+def read_artifact(source: str | Path | bytes) -> tuple[dict, dict[str, np.ndarray]]:
     """Load an artifact written by :func:`write_artifact`.
 
-    Returns ``(doc, arrays)``; every page is validated against the file size
-    before it is read, so a truncated artifact raises :class:`ArtifactError`
-    instead of returning short arrays.
+    ``source`` is a path, read once, or the artifact's bytes (what a caller
+    that also hashes the artifact read).  Returns ``(doc, arrays)``; every
+    page is validated against the artifact's size before it is read, so a
+    truncated artifact raises :class:`ArtifactError` instead of returning
+    short arrays.
     """
-    path = Path(path)
-    header = read_artifact_header(path)
+    if isinstance(source, (bytes, bytearray, memoryview)):
+        data, label = memoryview(source), "artifact bytes"
+    else:
+        data, label = memoryview(Path(source).read_bytes()), source
+    header = _parse_header(
+        bytes(data[:_PREFIX_LEN]),
+        lambda length: bytes(data[_PREFIX_LEN : _PREFIX_LEN + length]),
+        label,
+    )
     pages_start = header["_pages_start"]
-    file_size = path.stat().st_size
     arrays: dict[str, np.ndarray] = {}
-    with path.open("rb") as handle:
-        for page in header["pages"]:
-            start = pages_start + page["offset"]
-            if start + page["nbytes"] > file_size:
-                raise ArtifactError(
-                    f"{path}: truncated page {page['name']!r} "
-                    f"({file_size} bytes, page ends at {start + page['nbytes']})"
-                )
-            handle.seek(start)
-            raw = handle.read(page["nbytes"])
-            if len(raw) < page["nbytes"]:
-                raise ArtifactError(f"{path}: truncated page {page['name']!r}")
-            array = np.frombuffer(bytearray(raw), dtype=np.dtype(page["dtype"]))
-            arrays[page["name"]] = array.reshape(page["shape"])
+    for page in header["pages"]:
+        start = pages_start + page["offset"]
+        if start + page["nbytes"] > len(data):
+            raise ArtifactError(
+                f"{label}: truncated page {page['name']!r} "
+                f"({len(data)} bytes, page ends at {start + page['nbytes']})"
+            )
+        raw = bytearray(data[start : start + page["nbytes"]])
+        array = np.frombuffer(raw, dtype=np.dtype(page["dtype"]))
+        arrays[page["name"]] = array.reshape(page["shape"])
     return header["doc"], arrays

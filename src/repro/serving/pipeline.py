@@ -44,19 +44,20 @@ whose tables drifted since training raises instead of silently mis-joining.
 from __future__ import annotations
 
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.executor import JoinExecutor, make_executor
-from repro.core.join_execution import replay_kept_joins
+from repro.core.join_execution import prepare_kept_joins, replay_kept_joins
 from repro.discovery.candidates import JoinCandidate, KeyPair
 from repro.discovery.repository import DataRepository, RepositorySnapshot
 from repro.ml.persistence import estimator_from_state, estimator_to_state
 from repro.relational.encoding import ColumnEncoderState, FittedEncoder
 from repro.relational.imputation import ColumnImputeState, FittedImputer
 from repro.relational.join import as_chunk_source
-from repro.relational.schema import CATEGORICAL, ColumnType
+from repro.relational.schema import CATEGORICAL, ColumnType, Schema
 from repro.relational.table import Table
 from repro.selection.base import CLASSIFICATION, FeatureProvenance
 from repro.serving.artifact import ArtifactError, read_artifact, write_artifact
@@ -155,6 +156,11 @@ class FittedPipeline:
         self.soft_strategy = soft_strategy
         self.time_resample = time_resample
         self.base_schema = [(name, ctype) for name, ctype in base_schema]
+        # the same schema, typed: serving rows are checked against it on every
+        # call, and join build sides are prepared against it
+        self._schema = Schema.from_pairs(
+            [(name, ColumnType(ctype)) for name, ctype in self.base_schema]
+        )
         self.joins = joins
         self.imputer = imputer
         self.encoder = encoder
@@ -168,6 +174,10 @@ class FittedPipeline:
         self._repository: DataRepository | RepositorySnapshot | None = None
         self._bound_source: DataRepository | RepositorySnapshot | None = None
         self._owns_snapshot = False
+        # (view, replay specs, prepared build sides): the kept joins prepared
+        # once against the bound view; see _kept_joins
+        self._prepared: tuple | None = None
+        self._prepare_lock = threading.Lock()
 
     # -- introspection ---------------------------------------------------------
 
@@ -260,6 +270,7 @@ class FittedPipeline:
         self._repository = view
         self._bound_source = source
         self._owns_snapshot = owns
+        self._prepared = None
         return self
 
     def _resolve_repository(
@@ -279,7 +290,7 @@ class FittedPipeline:
         return self._repository
 
     def warm(self) -> "FittedPipeline":
-        """Materialise every join-plan foreign table in the bound view.
+        """Materialise every join-plan foreign table and prepare the replay.
 
         Snapshot pinning protects files this process has *opened* (a memory
         map survives its path being replaced), but a pin alone is invisible
@@ -287,14 +298,43 @@ class FittedPipeline:
         files this reader never touched.  A resident server that must keep
         serving an old generation across writer-side GC therefore touches
         every table its join plan needs right after binding — this method is
-        that touch.  No-op for a join-free pipeline; requires :meth:`bind`
-        (or a training-time binding) first.  Returns ``self`` for chaining.
+        that touch.  It also prepares the hard-key build sides
+        (:func:`~repro.core.join_execution.prepare_kept_joins`) that every
+        later transform probes, so the first request after a (hot) load
+        does not pay for them.  No-op for a join-free pipeline; requires
+        :meth:`bind` (or a training-time binding) first.  Returns ``self``
+        for chaining.
         """
-        if self.joins and self._repository is None:
+        if not self.joins:
+            return self
+        if self._repository is None:
             raise ValueError("warm() needs a bound repository: call bind() first")
         for step in self.joins:
             self._repository.get(step.foreign_table)
+        self._kept_joins(self._repository)
         return self
+
+    def _kept_joins(self, view: DataRepository | RepositorySnapshot) -> tuple[list, list]:
+        """The replay specs and prepared build sides for ``view``, built once.
+
+        A pinned view never changes, so what
+        :func:`~repro.core.join_execution.prepare_kept_joins` builds stays
+        valid for the view's whole life; :meth:`bind` and :meth:`release`
+        drop it.  Concurrent first callers (scorer workers) wait for one
+        prepare instead of each running their own.
+        """
+        prepared = self._prepared
+        if prepared is None or prepared[0] is not view:
+            with self._prepare_lock:
+                prepared = self._prepared
+                if prepared is None or prepared[0] is not view:
+                    specs = [
+                        (step.to_candidate(), step.positions, step.column_names)
+                        for step in self.joins
+                    ]
+                    prepared = (view, specs, prepare_kept_joins(view, specs, self._schema))
+                    self._prepared = prepared
+        return prepared[1], prepared[2]
 
     def release(self) -> None:
         """Drop the bound repository view, releasing any snapshot we pinned.
@@ -308,6 +348,7 @@ class FittedPipeline:
         self._repository = None
         self._bound_source = None
         self._owns_snapshot = False
+        self._prepared = None
 
     # -- inference -------------------------------------------------------------
 
@@ -322,15 +363,14 @@ class FittedPipeline:
         missing = [name for name in self.required_columns if name not in rows]
         if missing:
             raise KeyError(f"serving rows are missing base columns: {missing}")
-        for name, ctype_value in self.base_schema:
-            if name not in rows:
+        for spec in self._schema:
+            if spec.name not in rows:
                 continue
-            expected = ColumnType(ctype_value)
-            actual = rows.column(name).ctype
-            if (actual is CATEGORICAL) != (expected is CATEGORICAL):
+            actual = rows.column(spec.name).ctype
+            if (actual is CATEGORICAL) != (spec.ctype is CATEGORICAL):
                 raise TypeError(
-                    f"column {name!r} is {actual.value}, but the pipeline was "
-                    f"fitted on {expected.value}"
+                    f"column {spec.name!r} is {actual.value}, but the pipeline was "
+                    f"fitted on {spec.ctype.value}"
                 )
         return rows.select([name for name in self.base_columns if name in rows])
 
@@ -349,21 +389,29 @@ class FittedPipeline:
         across executor backends.  A chunked table source materialises first
         (the output matrix is whole anyway); use :meth:`iter_transform` to
         keep the input out-of-core.
+
+        Hard-key joins probe build sides prepared once per bound view (by
+        :meth:`warm`, or else by the first transform), so a call pays only
+        per-row work; ``executor`` runs the soft-key joins, which need the
+        rows themselves.
         """
         base = self._check_rows(as_chunk_source(rows).table())
         if self.joins:
             repo = self._resolve_repository(repository)
+            specs, prepared = self._kept_joins(repo)
             owns_executor = isinstance(executor, str)
             pool = make_executor(executor, n_jobs) if owns_executor else executor
             try:
                 joined = replay_kept_joins(
                     base,
                     repo,
-                    [(s.to_candidate(), s.positions, s.column_names) for s in self.joins],
+                    specs,
                     soft_strategy=self.soft_strategy,
                     time_resample=self.time_resample,
-                    rng=np.random.default_rng(self.seed),
+                    # only soft-key joins (unprepared) draw from the generator
+                    rng=np.random.default_rng(self.seed) if None in prepared else None,
                     executor=pool,
+                    prepared=prepared,
                 )
             finally:
                 if owns_executor:
@@ -558,11 +606,15 @@ class FittedPipeline:
 
     @classmethod
     def load(
-        cls, path: str | Path, repository: DataRepository | RepositorySnapshot | None = None
+        cls,
+        path: str | Path | bytes,
+        repository: DataRepository | RepositorySnapshot | None = None,
     ) -> "FittedPipeline":
         """Restore a pipeline saved by :meth:`save`.
 
-        Raises :class:`~repro.serving.artifact.ArtifactError` on a version
+        ``path`` is the artifact file or its bytes (a caller that also
+        hashes the artifact parses the very bytes it hashed).  Raises
+        :class:`~repro.serving.artifact.ArtifactError` on a version
         mismatch or corrupt file.  Passing ``repository`` binds and validates
         it immediately (fingerprint check); otherwise call :meth:`bind` (or
         pass a repository to the first transform/predict) before serving a

@@ -1,17 +1,18 @@
 """Resident serving server: micro-batching, hot reload, metrics.
 
 :class:`PredictionServer` keeps one :class:`~repro.serving.pipeline.
-FittedPipeline` resident — artifact memory-mapped, repository snapshot pinned
-and pre-touched — behind a small stdlib HTTP front end, so scoring a row
-costs a dictionary-to-column decode and a forest walk instead of a process
-start and an artifact load.
+FittedPipeline` resident — artifact loaded, repository snapshot pinned and
+pre-touched, join build sides prepared — behind a small stdlib HTTP front
+end, so scoring a row costs a dictionary-to-column decode, a hash probe per
+kept join and a forest walk instead of a process start and an artifact load.
 
 Architecture (one process, threads only):
 
 * **admission** — HTTP handler threads (one per connection,
   ``ThreadingHTTPServer``) validate request shape, enqueue a ``_Job`` on a
   bounded queue and block on the job's event.  A full queue answers 503
-  immediately: backpressure beats unbounded latency.
+  immediately: backpressure beats unbounded latency.  Connections are
+  HTTP/1.1 keep-alive with ``TCP_NODELAY`` set (see ``_Handler``).
 * **scoring** — ``workers`` scorer threads pull from the queue.  A worker
   takes the first job blocking, then coalesces more until the batch reaches
   ``max_batch_rows`` rows or ``max_wait_ms`` passes, decodes *all* coalesced
@@ -20,12 +21,13 @@ Architecture (one process, threads only):
   replay and one estimator dispatch.  If the merged batch fails, each job is
   re-scored alone so one malformed request cannot fail its batch-mates.
 * **generations** — the live pipeline is wrapped in a ``_Generation`` with an
-  in-flight refcount.  A hot reload loads + binds + warms the *new* pipeline
-  completely before swapping the pointer; the old generation is retired and
-  its snapshot released only when its last in-flight batch finishes.  Requests
-  never observe a half-swapped pipeline and never fail because of a swap.
-* **watcher** — an optional thread re-checks the artifact's content
-  fingerprint and the repository manifest generation every
+  in-flight refcount.  A hot reload loads + binds + warms (which prepares the
+  join build sides) the *new* pipeline completely before swapping the
+  pointer; the old generation is retired and its snapshot released only
+  when its last in-flight batch finishes.  Requests never observe a
+  half-swapped pipeline and never fail because of a swap.
+* **watcher** — an optional thread re-reads the artifact (its content
+  fingerprint) and the repository manifest generation every
   ``reload_interval_s`` and triggers :meth:`PredictionServer.check_reload`.
   A failed reload (torn write, drifted fingerprint) keeps the old generation
   serving and counts ``server.reload_failures``.
@@ -72,13 +74,15 @@ _STOP = object()
 _BATCH_BUCKETS = tuple(float(2**i) for i in range(0, 11))
 
 
-def _artifact_fingerprint(path: Path) -> str:
-    """Content hash of the artifact file (what "the artifact changed" means)."""
-    digest = hashlib.blake2b(digest_size=16)
-    with open(path, "rb") as handle:
-        while chunk := handle.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _read_artifact(path: Path) -> tuple[bytes, str]:
+    """The artifact's bytes and their content hash, from one read.
+
+    The hash is what "the artifact changed" means.  A generation parses the
+    very bytes it hashed, so a file replaced between two reads can never
+    pair one version's fingerprint with another version's pipeline.
+    """
+    data = path.read_bytes()
+    return data, hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
 class _Job:
@@ -129,6 +133,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # the unbuffered writer sends headers and body as two segments; with
+    # Nagle's algorithm on, the body of a keep-alive response waits for the
+    # client's delayed ACK of the headers (~40 ms), so every socket gets
+    # TCP_NODELAY.  (A buffered writer would merge the two writes but hold
+    # back the interim "100 Continue" reply, and still stall on bodies
+    # larger than its buffer.)
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the metrics registry's job
@@ -137,12 +148,12 @@ class _Handler(BaseHTTPRequestHandler):
     def owner(self) -> "PredictionServer":
         return self.server.owner
 
-    def _respond(self, status: int, payload: dict) -> None:
+    def _respond(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if self.owner._draining:
+        if close or self.owner._draining:
             self.send_header("Connection", "close")
             self.close_connection = True
         self.end_headers()
@@ -166,8 +177,15 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/predict":
             self._respond(404, {"error": f"no such endpoint: {self.path}"})
             return
+        length = self.headers.get("Content-Length", "0").strip()
+        if not (length.isascii() and length.isdigit()):
+            # the body's extent is unknown, so it can be neither read nor
+            # skipped: answer without reading and drop the connection
+            self.owner.registry.counter("server.responses_4xx").inc()
+            self._respond(400, {"error": f"malformed Content-Length: {length!r}"}, close=True)
+            return
         started = time.monotonic()
-        status, payload = self.owner._handle_predict(self._read_body())
+        status, payload = self.owner._handle_predict(self.rfile.read(int(length)))
         self.owner.registry.histogram("server.request_s").observe(
             time.monotonic() - started
         )
@@ -176,12 +194,6 @@ class _Handler(BaseHTTPRequestHandler):
         elif status >= 400:
             self.owner.registry.counter("server.responses_4xx").inc()
         self._respond(status, payload)
-
-    def _read_body(self) -> bytes:
-        length = self.headers.get("Content-Length")
-        if length is None:
-            return b""
-        return self.rfile.read(int(length))
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -354,16 +366,23 @@ class PredictionServer:
 
     # -- generations and hot reload --------------------------------------------
 
-    def _load_generation(self, index: int) -> _Generation:
-        """Load + bind + warm a fresh pipeline; only then is it swappable."""
-        fingerprint = _artifact_fingerprint(self.artifact_path)
-        pipeline = FittedPipeline.load(self.artifact_path)
+    def _load_generation(
+        self, index: int, artifact: tuple[bytes, str] | None = None
+    ) -> _Generation:
+        """Load + bind + warm a fresh pipeline; only then is it swappable.
+
+        ``artifact`` is a :func:`_read_artifact` result already in hand; the
+        file is read once here otherwise.
+        """
+        data, fingerprint = artifact or _read_artifact(self.artifact_path)
+        pipeline = FittedPipeline.load(data)
         repo_generation = None
         if self.repository is not None:
             pipeline.bind(self.repository)
             # pre-touch every join table so this generation keeps serving even
             # if an external writer garbage-collects superseded files (a pin
-            # only protects files this process has already opened)
+            # only protects files this process has already opened), and
+            # prepare the join build sides off the request path
             pipeline.warm()
             repo_generation = self.repository.generation
         elif pipeline.joins:
@@ -394,16 +413,16 @@ class PredictionServer:
             try:
                 if self.repository is not None and self.repository.is_disk_backed:
                     self.repository.reload()
-                fingerprint = _artifact_fingerprint(self.artifact_path)
+                artifact = _read_artifact(self.artifact_path)
                 repo_generation = (
                     self.repository.generation if self.repository is not None else None
                 )
                 if (
-                    fingerprint == live.artifact_fingerprint
+                    artifact[1] == live.artifact_fingerprint
                     and repo_generation == live.repo_generation
                 ):
                     return False
-                fresh = self._load_generation(index=live.index + 1)
+                fresh = self._load_generation(live.index + 1, artifact)
             except Exception:
                 self.registry.counter("server.reload_failures").inc()
                 return False

@@ -7,11 +7,15 @@ Covers the serving-server acceptance surface:
 * micro-batch coalescing: several queued requests are scored as one batch,
   and a malformed request in a coalesced batch fails alone (batch-mates
   still succeed);
-* hot reload: artifact swap under sustained multi-client load with zero
-  failed requests, repository-generation pickup, torn-write resilience;
+* hot reload: artifact swap under sustained multi-client load on keep-alive
+  connections with zero failed requests, repository-generation pickup,
+  torn-write resilience, and a generation's fingerprint always being the
+  digest of the bytes it serves;
 * graceful shutdown: every admitted request gets its response;
-* HTTP error surface: 400/404/413/503 with JSON bodies, ``/healthz`` and
-  ``/metrics`` content;
+* HTTP error surface: 400/404/413/503 with JSON bodies, malformed
+  ``Content-Length`` headers, ``/healthz`` and ``/metrics`` content;
+* keep-alive transport: reused connections see no delayed-ACK stall, and
+  ``Expect: 100-continue`` clients still get their interim reply;
 * the unified ``python -m repro`` CLI and content-based row-file dispatch;
 * the :mod:`repro.observability` registry and the migrated subsystem
   counters.
@@ -19,11 +23,15 @@ Covers the serving-server acceptance surface:
 
 from __future__ import annotations
 
+import hashlib
+import http.client
 import json
 import math
 import os
 import shutil
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -134,6 +142,25 @@ def http_post(address, payload, path="/predict", timeout=30):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def keepalive_request(connection, method, path, payload=None):
+    """One request on a persistent ``http.client`` connection: (status, doc)."""
+    body = None if payload is None else json.dumps(payload)
+    headers = {} if body is None else {"Content-Type": "application/json"}
+    connection.request(method, path, body, headers)
+    response = connection.getresponse()
+    return response.status, json.loads(response.read())
+
+
+def raw_exchange(address, request: bytes, timeout=3.0) -> bytes:
+    """Send raw request bytes; everything the server sends until it closes."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(request)
+        received = []
+        while chunk := sock.recv(65536):
+            received.append(chunk)
+    return b"".join(received)
 
 
 def http_get(address, path, timeout=30):
@@ -421,28 +448,39 @@ class TestPredictionServer:
             lock = threading.Lock()
 
             def hammer():
-                while not stop.is_set():
-                    try:
-                        status, doc = http_post(
-                            server.address, {"rows": trained.rows[:4]}
-                        )
-                        if status != 200:
-                            raise AssertionError((status, doc))
-                        with lock:
-                            generations.add(doc["generation"])
-                        want = (
-                            trained.expected
-                            if doc["generation"] % 2 == 0
-                            else trained.expected_b
-                        )
-                        if not np.array_equal(
-                            np.array(doc["predictions"]), want[:4]
-                        ):
-                            raise AssertionError("prediction drift mid-swap")
-                    except Exception as exc:  # noqa: BLE001 - recorded, not raised
-                        with lock:
-                            failures.append(repr(exc))
-                        stop.set()
+                # one keep-alive connection per client, held across every
+                # generation swap; reconnect only after an error (which
+                # still counts as a failure)
+                connection = http.client.HTTPConnection(*server.address, timeout=30)
+                try:
+                    while not stop.is_set():
+                        try:
+                            status, doc = keepalive_request(
+                                connection, "POST", "/predict", {"rows": trained.rows[:4]}
+                            )
+                            if status != 200:
+                                raise AssertionError((status, doc))
+                            with lock:
+                                generations.add(doc["generation"])
+                            want = (
+                                trained.expected
+                                if doc["generation"] % 2 == 0
+                                else trained.expected_b
+                            )
+                            if not np.array_equal(
+                                np.array(doc["predictions"]), want[:4]
+                            ):
+                                raise AssertionError("prediction drift mid-swap")
+                        except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                            with lock:
+                                failures.append(repr(exc))
+                            stop.set()
+                            connection.close()
+                            connection = http.client.HTTPConnection(
+                                *server.address, timeout=30
+                            )
+                finally:
+                    connection.close()
 
             clients = [threading.Thread(target=hammer) for _ in range(4)]
             for client in clients:
@@ -462,6 +500,54 @@ class TestPredictionServer:
             assert server.generation == swaps
             assert generations >= set(range(swaps + 1))
 
+    def test_generation_fingerprint_is_digest_of_served_bytes(
+        self, trained, mutable_copy, monkeypatch
+    ):
+        with make_server(mutable_copy.artifact, mutable_copy.lake) as server:
+            shutil.copyfile(trained.artifact_b, mutable_copy.artifact)
+            served = mutable_copy.artifact.read_bytes()
+            original_load = FittedPipeline.load
+
+            def racing_load(source, repository=None):
+                # a writer replaces the artifact again right after the
+                # server's fingerprint read
+                shutil.copyfile(trained.artifact, mutable_copy.artifact)
+                return original_load(source, repository)
+
+            monkeypatch.setattr(FittedPipeline, "load", staticmethod(racing_load))
+            assert server.check_reload() is True
+            monkeypatch.undo()
+            assert server._live.artifact_fingerprint == hashlib.blake2b(
+                served, digest_size=16
+            ).hexdigest()
+            status, doc = http_post(server.address, {"rows": trained.rows})
+            assert status == 200 and doc["generation"] == 1
+            assert np.array_equal(np.array(doc["predictions"]), trained.expected_b)
+            # the file now holds the first artifact again: a real change
+            assert server.check_reload() is True
+            status, doc = http_post(server.address, {"rows": trained.rows})
+            assert status == 200 and doc["generation"] == 2
+            assert np.array_equal(np.array(doc["predictions"]), trained.expected)
+            assert server.check_reload() is False
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    def test_malformed_content_length_answers_400_and_closes(self, trained, length):
+        with make_server(trained.artifact, trained.lake) as server:
+            reply = raw_exchange(
+                server.address,
+                b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\nContent-Length: " + length
+                + b"\r\n\r\n{}",
+            )
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"Connection: close" in head.split(b"\r\n")
+            assert "Content-Length" in json.loads(body)["error"]
+            snap = server.registry.snapshot()
+            assert snap["counters"]["server.responses_4xx"] == 1.0
+            # the server itself keeps serving
+            assert http_get(server.address, "/healthz")[0] == 200
+
     def test_snapshot_rejected_and_unbound_joins_rejected(self, trained, tmp_path):
         repo = DataRepository.open(trained.lake)
         with pytest.raises(TypeError, match="live DataRepository"):
@@ -471,6 +557,78 @@ class TestPredictionServer:
         )
         with pytest.raises(ValueError, match="repository"):
             server.start()
+
+
+# -- keep-alive transport -----------------------------------------------------
+
+
+class TestKeepAliveTransport:
+    """Responses on a reused connection must not wait for a delayed ACK.
+
+    The handler writes headers and body in two sends; with Nagle's
+    algorithm on, the body of every keep-alive response waits ~40 ms for
+    the client's delayed ACK of the headers.
+    """
+
+    def test_keepalive_round_trips_do_not_stall(self, trained):
+        big = {"rows": trained.rows * 63}  # 1,008 rows
+        with make_server(trained.artifact, trained.lake, max_wait_ms=0.0) as server:
+            request_s = server.registry.histogram("server.request_s")
+            connection = http.client.HTTPConnection(*server.address, timeout=30)
+            try:
+                for method, path, payload in (
+                    ("GET", "/healthz", None),
+                    ("POST", "/predict", trained.rows[0]),
+                    ("POST", "/predict", big),
+                ):
+                    body = None if payload is None else json.dumps(payload).encode()
+                    round_trips, transport = [], []
+                    for _ in range(20):
+                        served_s = request_s.sum
+                        started = time.perf_counter()
+                        connection.request(method, path, body)
+                        response = connection.getresponse()
+                        reply = response.read()
+                        elapsed = time.perf_counter() - started
+                        assert response.status == 200, reply
+                        round_trips.append(elapsed)
+                        # the round trip minus the server's own request time
+                        transport.append(elapsed - (request_s.sum - served_s))
+                    if payload is big:
+                        assert len(reply) > 16_384
+                        assert np.array_equal(
+                            np.array(json.loads(reply)["predictions"]),
+                            np.tile(trained.expected, 63),
+                        )
+                        # scoring 1,008 rows is itself ~15 ms; bound what the
+                        # transport adds on top of it
+                        assert statistics.median(transport) < 0.010, transport
+                    else:
+                        assert statistics.median(round_trips) < 0.010, round_trips
+            finally:
+                connection.close()
+
+    def test_expect_100_continue_gets_interim_reply(self, trained):
+        body = json.dumps(trained.rows[0]).encode()
+        with make_server(trained.artifact, trained.lake) as server:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(
+                    b"POST /predict HTTP/1.1\r\nHost: test\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+                    b"Expect: 100-continue\r\n\r\n"
+                )
+                started = time.monotonic()
+                interim = b""
+                while not interim.endswith(b"\r\n\r\n"):
+                    interim += sock.recv(1)
+                assert time.monotonic() - started < 1.0
+                assert interim.startswith(b"HTTP/1.1 100 ")
+                sock.sendall(body)
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                assert response.status == 200
+                assert json.loads(response.read())["prediction"] == trained.expected[0]
 
 
 # -- repository reload --------------------------------------------------------

@@ -11,6 +11,9 @@ Covers the PR-5 acceptance surface:
   mismatch, truncation, repository fingerprint drift, missing tables/columns;
 * serving edge cases: unseen dictionary values, all-missing key columns,
   empty batches, streaming micro-batches, executor determinism;
+* join replay against build sides prepared once per bound view: byte-equal
+  to a per-call replay and to the batch-join path, and each duplicate-keyed
+  kept table is pre-aggregated once, not once per scored chunk;
 * estimator state round trips through the page format.
 """
 
@@ -19,15 +22,24 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.relational.join as join_module
 from repro.core.arda import ARDA
 from repro.core.config import ARDAConfig
+from repro.core.join_execution import (
+    join_candidates_detailed,
+    prepare_kept_joins,
+    replay_kept_joins,
+)
 from repro.datasets.synthetic import RelationalDatasetBuilder, SignalTableSpec
+from repro.discovery.candidates import JoinCandidate, KeyPair
 from repro.discovery.repository import DataRepository
 from repro.ml import (
     DecisionTreeClassifier,
@@ -39,7 +51,8 @@ from repro.ml import (
 from repro.relational.column import Column
 from repro.relational.encoding import FittedEncoder, encode_features, to_design_matrix
 from repro.relational.imputation import FittedImputer, impute_table
-from repro.relational.schema import CATEGORICAL, NUMERIC
+from repro.relational.persist import open_chunks, write_table
+from repro.relational.schema import CATEGORICAL, NUMERIC, Schema
 from repro.relational.table import Table
 from repro.serving import (
     ARTIFACT_VERSION,
@@ -48,6 +61,7 @@ from repro.serving import (
     read_artifact,
     write_artifact,
 )
+from repro.serving.pipeline import fit_pipeline_from_training
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -403,6 +417,273 @@ class TestStreamingAndExecutors:
                 n_jobs=2,
             )
             assert np.array_equal(reference, predictions), executor
+
+
+# -- prepared join replay -----------------------------------------------------
+
+_BASE_TYPES = {"k": NUMERIC, "c": CATEGORICAL, "t": NUMERIC, "f": NUMERIC}
+
+
+def replay_repository() -> DataRepository:
+    """Foreign tables covering every kind of kept join the replay handles."""
+    return DataRepository(
+        [
+            # duplicate numeric keys (pre-aggregated) and a missing key
+            Table.from_dict(
+                {
+                    "k": [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, None],
+                    "v1": [1.0, 2.0, None, 4.0, 5.0, 6.5, 7.0],
+                    "v2": ["a", "b", "b", None, "c", "a", "c"],
+                    "v3": [0.5, -1.0, 3.0, 2.0, None, 1.0, 8.0],
+                },
+                name="dup",
+            ),
+            # a categorical key with a duplicate
+            Table.from_dict(
+                {"c": ["a", "b", "b", None], "w1": [1.0, 2.0, 3.0, 4.0],
+                 "w2": ["x", "y", "z", "x"]},
+                types={"c": CATEGORICAL},
+                name="cat",
+            ),
+            # a composite (numeric, categorical) key with duplicates
+            Table.from_dict(
+                {"k": [0.0, 0.0, 1.0, 2.0], "c": ["a", "a", "b", "a"],
+                 "x1": [1.0, 3.0, 5.0, 7.0], "x2": ["p", "q", "q", None]},
+                types={"c": CATEGORICAL},
+                name="comp",
+            ),
+            # a 0-row foreign table
+            Table.from_dict(
+                {"k": [], "e1": [], "e2": []},
+                types={"k": NUMERIC, "e1": NUMERIC, "e2": CATEGORICAL},
+                name="empty",
+            ),
+            # a soft (two-way nearest) key; its categorical column draws from
+            # the join's child generator
+            Table.from_dict(
+                {"t": [0.0, 1.0, 2.0, 3.0], "s1": [10.0, 20.0, None, 40.0],
+                 "s2": ["u", "v", "w", "u"]},
+                name="soft",
+            ),
+        ]
+    )
+
+
+# (candidate, number of columns its join adds)
+_REPLAY_CANDIDATES = [
+    (JoinCandidate("dup", [KeyPair("k", "k")]), 3),
+    (JoinCandidate("soft", [KeyPair("t", "t", soft=True)]), 2),
+    (JoinCandidate("cat", [KeyPair("c", "c")]), 2),
+    (JoinCandidate("comp", [KeyPair("k", "k"), KeyPair("c", "c")]), 2),
+    (JoinCandidate("empty", [KeyPair("k", "k")]), 2),
+    (JoinCandidate("soft", [KeyPair("t", "t", soft=True)]), 2),
+]
+
+
+@st.composite
+def replay_specs(draw):
+    """Kept-join specs in a random order, each keeping a random column subset."""
+    specs = []
+    for index in draw(st.permutations(range(len(_REPLAY_CANDIDATES)))):
+        candidate, width = _REPLAY_CANDIDATES[index]
+        positions = sorted(
+            draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=width))
+        )
+        specs.append((candidate, positions, [f"out{index}_{p}" for p in positions]))
+    return specs
+
+
+@st.composite
+def replay_bases(draw):
+    """A base with missing and unseen key values (7.0, "z", 9.0 match nothing)."""
+    n = draw(st.integers(min_value=0, max_value=12))
+
+    def column(values):
+        return draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+
+    return Table.from_dict(
+        {
+            "k": column([0.0, 1.0, 2.0, 7.0, None]),
+            "c": column(["a", "b", "z", None]),
+            "t": column([0.0, 0.5, 1.75, 3.0, 9.0, None]),
+            "f": column([1.0, -2.0, None]),
+        },
+        types=_BASE_TYPES,
+        name="base",
+    )
+
+
+def batch_join_replay(base, repository, specs, rng) -> Table:
+    """The replay as the batch-join path computes it: join every candidate,
+    pick kept columns by position, rename them to their pinned names."""
+    joined, added = join_candidates_detailed(
+        base, repository, [spec[0] for spec in specs], rng=rng
+    )
+    columns = list(base.columns())
+    for (_candidate, positions, names), names_added in zip(specs, added):
+        columns.extend(
+            joined.column(names_added[p]).rename(name) for p, name in zip(positions, names)
+        )
+    return Table(columns, name=base.name)
+
+
+def assert_same_bytes(actual: Table, expected: Table) -> None:
+    """``Table.__eq__`` plus identical value bytes (and codes) per column."""
+    assert actual == expected
+    for name in expected.column_names:
+        a, b = actual.column(name), expected.column(name)
+        if b.ctype is CATEGORICAL:
+            assert np.array_equal(a.codes, b.codes), name
+            assert list(a.dictionary) == list(b.dictionary), name
+        else:
+            assert a.values.tobytes() == b.values.tobytes(), name
+
+
+class TestPreparedReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        specs=replay_specs(),
+        bases=st.lists(replay_bases(), min_size=1, max_size=4),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    def test_prepared_replay_equals_per_call_replay(self, specs, bases, seed):
+        repository = replay_repository()
+        prepared = prepare_kept_joins(repository, specs, Schema.from_pairs(
+            list(_BASE_TYPES.items())
+        ))
+        assert [build is None for build in prepared] == [
+            candidate.is_soft for candidate, _positions, _names in specs
+        ]
+        for base in bases:
+            reused = replay_kept_joins(
+                base, repository, specs, rng=np.random.default_rng(seed), prepared=prepared
+            )
+            fresh = replay_kept_joins(base, repository, specs, rng=np.random.default_rng(seed))
+            assert_same_bytes(reused, fresh)
+            assert_same_bytes(
+                reused, batch_join_replay(base, repository, specs, np.random.default_rng(seed))
+            )
+            assert reused.column_names == base.column_names + [
+                name for _candidate, _positions, names in specs for name in names
+            ]
+
+
+class TestAggregateOnce:
+    """A duplicate-keyed kept table is pre-aggregated once per bound view."""
+
+    @pytest.fixture
+    def fitted(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 400
+        keys = rng.integers(0, 30, n).astype(float)
+        base = Table.from_dict(
+            {"k": keys, "f": rng.normal(size=n), "y": keys + rng.normal(size=n)},
+            name="base",
+        )
+        repository = DataRepository(
+            [
+                Table.from_dict(
+                    {"k": np.repeat(np.arange(30.0), 3), "a": rng.normal(size=90)},
+                    name="dup_a",
+                ),
+                Table.from_dict(
+                    {"k": np.repeat(np.arange(30.0), 2),
+                     "b": rng.choice(["p", "q", "r"], 60).tolist()},
+                    name="dup_b",
+                ),
+                Table.from_dict({"k": np.arange(30.0), "u": np.arange(30.0) ** 2}, name="uniq"),
+            ]
+        )
+        specs = [
+            (JoinCandidate(name, [KeyPair("k", "k")]), [0], [f"{name}.{column}"])
+            for name, column in (("dup_a", "a"), ("dup_b", "b"), ("uniq", "u"))
+        ]
+        pipeline, _X, _y = fit_pipeline_from_training(
+            target="y",
+            task="regression",
+            base_table=base,
+            augmented_table=replay_kept_joins(base, repository, specs),
+            kept_specs=specs,
+            repository=repository,
+            estimator=RandomForestRegressor(n_estimators=3, random_state=0),
+            seed=0,
+            soft_strategy="two_way_nearest",
+            time_resample=True,
+            max_categories=12,
+        )
+        path = tmp_path / "rows.tbl"
+        write_table(base.drop("y"), path, chunk_rows=64)
+        return pipeline, repository, path
+
+    @staticmethod
+    def count_aggregations(monkeypatch, delay_s: float = 0.0) -> list:
+        calls = []
+        original = join_module.group_by_aggregate
+
+        def counting(table, *args, **kwargs):
+            calls.append(table.name)
+            time.sleep(delay_s)
+            return original(table, *args, **kwargs)
+
+        monkeypatch.setattr(join_module, "group_by_aggregate", counting)
+        return calls
+
+    def test_chunked_predict_aggregates_each_table_once(self, fitted, monkeypatch):
+        pipeline, _repository, path = fitted
+        source = open_chunks(path)
+        assert source.num_chunks == 7
+        expected = pipeline.predict(source.table())  # one-chunk reference
+        pipeline.release()
+        pipeline.bind(_repository)
+        calls = self.count_aggregations(monkeypatch)
+        predictions = pipeline.predict(source, batch_rows=64)
+        assert np.array_equal(predictions, expected)
+        # the first transform prepares; six more chunks only probe
+        assert sorted(calls) == ["dup_a", "dup_b"]
+
+    def test_concurrent_first_transforms_prepare_once(self, fitted, monkeypatch):
+        pipeline, repository, path = fitted
+        rows = open_chunks(path).table()
+        expected = pipeline.predict(rows)
+        pipeline.bind(repository)  # a fresh view: nothing prepared yet
+        # a slow prepare keeps the racing threads' window open
+        calls = self.count_aggregations(monkeypatch, delay_s=0.02)
+        results: list = [None] * 8
+        start = threading.Barrier(len(results))
+
+        def score(index):
+            start.wait(timeout=60)
+            results[index] = pipeline.predict(rows)
+
+        threads = [threading.Thread(target=score, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the racing first transforms
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(calls) == ["dup_a", "dup_b"]  # one prepare, not one per thread
+        for predictions in results:
+            assert np.array_equal(predictions, expected)
+
+    def test_warm_prepares_and_rebinding_drops_it(self, fitted, monkeypatch):
+        pipeline, repository, path = fitted
+        calls = self.count_aggregations(monkeypatch)
+        pipeline.bind(repository)
+        assert calls == []  # binding validates fingerprints only
+        pipeline.warm()
+        assert sorted(calls) == ["dup_a", "dup_b"]
+        pipeline.predict(open_chunks(path))
+        pipeline.predict(open_chunks(path).table())
+        assert len(calls) == 2  # served entirely from the warm build sides
+        pipeline.release()
+        pipeline.bind(repository)
+        pipeline.predict(open_chunks(path))
+        assert len(calls) == 4  # a new binding prepares once more
 
 
 # -- estimator state ----------------------------------------------------------
