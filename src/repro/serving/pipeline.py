@@ -161,6 +161,8 @@ class FittedPipeline:
         self._schema = Schema.from_pairs(
             [(name, ColumnType(ctype)) for name, ctype in self.base_schema]
         )
+        self._base_names = [name for name, _ctype in self.base_schema]
+        self._required = [name for name in self._base_names if name != target]
         self.joins = joins
         self.imputer = imputer
         self.encoder = encoder
@@ -189,12 +191,12 @@ class FittedPipeline:
     @property
     def base_columns(self) -> list[str]:
         """Training base-table column names (including the target)."""
-        return [name for name, _ctype in self.base_schema]
+        return list(self._base_names)
 
     @property
     def required_columns(self) -> list[str]:
         """Base columns serving rows must provide (target excluded)."""
-        return [name for name in self.base_columns if name != self.target]
+        return list(self._required)
 
     def summary(self) -> dict:
         """Compact description used by ``python -m repro inspect``."""
@@ -360,7 +362,7 @@ class FittedPipeline:
         prediction).  Extra columns are dropped so they cannot collide with
         the pinned names of replayed join columns.
         """
-        missing = [name for name in self.required_columns if name not in rows]
+        missing = [name for name in self._required if name not in rows]
         if missing:
             raise KeyError(f"serving rows are missing base columns: {missing}")
         for spec in self._schema:
@@ -372,7 +374,9 @@ class FittedPipeline:
                     f"column {spec.name!r} is {actual.value}, but the pipeline was "
                     f"fitted on {spec.ctype.value}"
                 )
-        return rows.select([name for name in self.base_columns if name in rows])
+        names = [name for name in self._base_names if name in rows]
+        # rows already in the fitted layout (what the server decodes) pass as is
+        return rows if rows.column_names == names else rows.select(names)
 
     def transform(
         self,

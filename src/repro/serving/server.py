@@ -11,8 +11,7 @@ Architecture (one process, threads only):
 * **admission** — HTTP handler threads (one per connection,
   ``ThreadingHTTPServer``) validate request shape, enqueue a ``_Job`` on a
   bounded queue and block on the job's event.  A full queue answers 503
-  immediately: backpressure beats unbounded latency.  Connections are
-  HTTP/1.1 keep-alive with ``TCP_NODELAY`` set (see ``_Handler``).
+  immediately: backpressure beats unbounded latency.
 * **scoring** — ``workers`` scorer threads pull from the queue.  A worker
   takes the first job blocking, then coalesces more until the batch reaches
   ``max_batch_rows`` rows or ``max_wait_ms`` passes, decodes *all* coalesced
@@ -133,13 +132,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
-    # the unbuffered writer sends headers and body as two segments; with
-    # Nagle's algorithm on, the body of a keep-alive response waits for the
-    # client's delayed ACK of the headers (~40 ms), so every socket gets
-    # TCP_NODELAY.  (A buffered writer would merge the two writes but hold
-    # back the interim "100 Continue" reply, and still stall on bodies
-    # larger than its buffer.)
-    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the metrics registry's job
@@ -280,6 +272,10 @@ class PredictionServer:
         self._inflight_zero = threading.Condition(self._inflight_lock)
         self._draining = False
         self._started = False
+        # the scorer workers' per-batch instruments, looked up once
+        self._batches = self.registry.counter("server.batches")
+        self._batch_rows = self.registry.histogram("server.batch_rows", buckets=_BATCH_BUCKETS)
+        self._batch_s = self.registry.histogram("server.batch_s")
         self.registry.register_source("server.state", self._state)
 
     # -- lifecycle -------------------------------------------------------------
@@ -569,13 +565,11 @@ class PredictionServer:
         """Score one coalesced micro-batch; fall back per-job on failure."""
         generation = self._acquire_generation()
         try:
-            self.registry.counter("server.batches").inc()
-            self.registry.histogram("server.batch_rows", buckets=_BATCH_BUCKETS).observe(
-                float(sum(job.count for job in jobs))
-            )
+            merged = [row for job in jobs for row in job.rows]
+            self._batches.inc()
+            self._batch_rows.observe(float(len(merged)))
             started = time.monotonic()
             try:
-                merged = [row for job in jobs for row in job.rows]
                 payload = self._predict_rows(generation.pipeline, merged)
                 offset = 0
                 for job in jobs:
@@ -596,9 +590,7 @@ class PredictionServer:
                         job.error = (400, str(message))
                     except Exception as exc:  # pragma: no cover - defensive
                         job.error = (500, f"{type(exc).__name__}: {exc}")
-            self.registry.histogram("server.batch_s").observe(
-                time.monotonic() - started
-            )
+            self._batch_s.observe(time.monotonic() - started)
         finally:
             self._release_generation(generation)
             for job in jobs:
