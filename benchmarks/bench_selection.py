@@ -6,6 +6,10 @@ mixed continuous / low-cardinality / one-hot-like columns) this measures:
 * **forest-exact vs forest-hist** — fitting the same random forest with the
   exact sorted split search vs the histogram kernel sharing one
   :class:`~repro.ml.binning.BinnedMatrix` across all trees.
+* **forest-hist-coreset** — 25 fits of the default classification forest on a
+  100 x 40 matrix, the shape of ARDA's per-batch selection loop on a coreset.
+  Here a tree node holds a handful of rows, so per-node dispatch, not data,
+  sets the cost; the large-matrix kernels above do not see it.
 * **rifs-exact-serial vs rifs-hist-serial vs rifs-hist-parallel** — the full
   RIFS procedure (injection rounds + ranking ensemble + threshold wrapper):
   the seed configuration (exact kernel, serial rounds) against the binned
@@ -36,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.ml.binning import BinnedMatrix
-from repro.selection.base import REGRESSION, default_estimator, holdout_score
+from repro.selection.base import CLASSIFICATION, REGRESSION, default_estimator, holdout_score
 from repro.selection.rifs import RIFS
 
 
@@ -172,6 +176,22 @@ def main() -> int:
                         "rows": args.rows, "features": args.features, "trees": args.trees})
         print(f"forest-{method:<22} {seconds:>8.2f}s")
     print(f"forest hist speedup: {forest_times['exact'] / forest_times['hist']:.1f}x")
+
+    # -- the coreset regime: many fits of a small forest on a small matrix -------
+    X_small, y_small = build_matrix(100, 40, seed=1)
+    y_small = (y_small > np.median(y_small)).astype(np.float64)
+    coreset_fits = 25
+
+    def fit_coreset_forests():
+        for seed in range(coreset_fits):
+            default_estimator(CLASSIFICATION, random_state=seed, tree_method="hist").fit(
+                X_small, y_small
+            )
+
+    seconds, _ = timed(fit_coreset_forests)
+    results.append({"bench": "forest-hist-coreset", "seconds": seconds, "rows": 100,
+                    "features": 40, "fits": coreset_fits})
+    print(f"{'forest-hist-coreset':<29} {seconds:>8.2f}s  ({coreset_fits} fits, 100 x 40)")
 
     # -- binning cost (paid once, shared by every tree and round) ---------------
     seconds, _ = timed(lambda: BinnedMatrix.from_matrix(X))

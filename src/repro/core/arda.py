@@ -281,10 +281,14 @@ class ARDA:
 
                 selected_sources = {encoding.source_columns[i] for i in result.selected}
                 newly_kept = [name for name in foreign_columns if name in selected_sources]
-                batch_score = holdout_score(
-                    X[:, result.selected], y, task, estimator=estimator,
-                    random_state=config.random_state,
-                ) if len(result.selected) else -np.inf
+                # RIFS already scored its chosen subset with this estimator,
+                # split and seed; other selectors leave the score to us
+                batch_score = result.holdout_score
+                if batch_score is None:
+                    batch_score = holdout_score(
+                        X[:, result.selected], y, task, estimator=estimator,
+                        random_state=config.random_state,
+                    ) if len(result.selected) else -np.inf
                 batch_reports.append(
                     BatchReport(
                         batch_index=batch_index,

@@ -6,13 +6,15 @@ importances) one half of the RIFS ranking ensemble.
 
 The forest quantises the training matrix **once** (``tree_method="hist"``) and
 every tree trains on the shared :class:`~repro.ml.binning.BinnedMatrix`;
-bootstrap resamples are index draws into it, never matrix copies.  Tree fits
-are independent, so they fan out over the same pluggable
-:class:`~repro.core.executor.JoinExecutor` pools the join engine uses.  All
-per-tree randomness (seed and bootstrap sample) is drawn up front from the
-forest RNG in tree order — interleaved exactly like the historical serial
-loop — so serial, thread and process execution produce byte-identical
-forests.
+bootstrap resamples are index draws into it, never matrix copies.  Trees are
+grown in lockstep groups (:func:`repro.ml.tree.grow_trees`): the forest cuts
+its trees into one contiguous group per worker of the same pluggable
+:class:`~repro.core.executor.JoinExecutor` pools the join engine uses (the
+serial executor grows one group of all trees).  All per-tree randomness (seed
+and bootstrap sample) is drawn up front from the forest RNG in tree order —
+interleaved exactly like the historical serial loop — and a tree comes out of
+any group exactly as if grown alone, so serial, thread and process execution
+produce byte-identical forests.
 """
 
 from __future__ import annotations
@@ -28,19 +30,19 @@ from repro.ml.base import (
     check_fit_inputs,
 )
 from repro.ml.binning import DEFAULT_MAX_BINS, BinnedMatrix, resolve_tree_method
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, grow_trees
 
 
-def _fit_forest_tree(shared, task):
-    """Fit one (tree, sample) task against the shared ``(data, y)`` payload.
+def _fit_tree_group(shared, group):
+    """Grow one ``(trees, samples)`` group against the shared ``(data, y)`` payload.
 
     Top-level so process pools can pickle it; the training data travels via
-    the executor's shared-payload channel (once per worker), never per tree.
+    the executor's shared-payload channel (once per worker), never per group.
     """
     data, y = shared
-    tree, sample = task
-    tree.fit(data, y, sample_indices=sample)
-    return tree
+    trees, samples = group
+    grow_trees(trees, data, y, samples)
+    return trees
 
 
 class _BaseForest(BaseEstimator):
@@ -93,16 +95,20 @@ class _BaseForest(BaseEstimator):
         n, n_features = X.shape
         # per-tree randomness drawn up front, interleaved exactly like the
         # historical serial loop, so executor choice can't change the forest
-        tasks = []
+        trees, samples = [], []
         for _ in range(self.n_estimators):
-            tree = self._make_tree(int(rng.integers(0, 2**31 - 1)))
-            sample = rng.integers(0, n, size=n) if self.bootstrap else None
-            tasks.append((tree, sample))
+            trees.append(self._make_tree(int(rng.integers(0, 2**31 - 1))))
+            samples.append(rng.integers(0, n, size=n) if self.bootstrap else None)
         executor = make_executor(self.executor, self.n_jobs)
         try:
-            self.estimators_ = executor.map_with_shared(_fit_forest_tree, (data, y), tasks)
+            bounds = np.linspace(0, len(trees), executor.n_jobs + 1).astype(int)
+            groups = [
+                (trees[lo:hi], samples[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+            ]
+            grown = executor.map_with_shared(_fit_tree_group, (data, y), groups)
         finally:
             executor.shutdown()
+        self.estimators_ = [tree for group in grown for tree in group]
         importances = np.zeros(n_features, dtype=np.float64)
         for tree in self.estimators_:
             importances += tree.feature_importances_

@@ -14,12 +14,17 @@ Two split-search kernels share one construction loop:
   features whose distinct-value count fits into the bin budget the two kernels
   are bit-identical (see :mod:`repro.ml.binning` for why).
 
-Construction recurses over *row-index arrays* into the training data, so a
-forest's bootstrap resample is an index draw, not a matrix copy.  Feature
-importances are accumulated as impurity decrease weighted by the number of
-samples reaching the node, matching the quantity the paper's Random-Forest
-ranker consumes.  Fitted trees always predict on raw float matrices: histogram
-splits are translated back to float thresholds at fit time.
+Construction grows a *group* of trees in lockstep (:func:`grow_trees`; a
+single tree is a group of one, a forest hands each executor task a contiguous
+group).  Every tree keeps its own RNG and its own pre-order stack of pending
+nodes over *row-index arrays* into the training data, so a bootstrap resample
+is an index draw, not a matrix copy.  Each step pops the next node of every
+unfinished tree, and the histogram kernel scores all of their candidate
+splits with one shared ``bincount`` per statistic.  Feature importances are
+accumulated as impurity decrease weighted by the number of samples reaching
+the node, matching the quantity the paper's Random-Forest ranker consumes.
+Fitted trees always predict on raw float matrices: histogram splits are
+translated back to float thresholds at fit time.
 """
 
 from __future__ import annotations
@@ -36,6 +41,12 @@ from repro.ml.base import (
     check_fit_inputs,
 )
 from repro.ml.binning import DEFAULT_MAX_BINS, BinnedMatrix, resolve_tree_method
+
+# array cells (see _Growth.search_cells) one search call of a lockstep step
+# may use, unless one tree's root search needs more: below it a small forest
+# scores every tree's next node together, above it a step needs no more
+# memory than growing one tree
+_STEP_CELLS_FLOOR = 1 << 17
 
 
 @dataclass
@@ -64,8 +75,270 @@ def _resolve_max_features(option, n_features: int) -> int:
     raise ValueError(f"invalid max_features {option!r}")
 
 
+class _Pending:
+    """A popped node that needs a split search, and the split it found."""
+
+    __slots__ = ("growth", "index", "rows", "depth", "candidates",
+                 "gain", "feature", "threshold", "mask")
+
+    def __init__(self, growth, index, rows, depth, candidates):
+        self.growth = growth
+        self.index = index
+        self.rows = rows
+        self.depth = depth
+        self.candidates = candidates
+        # the winning split: feature -1 until a search finds one; ``mask``
+        # marks the rows it sends left
+        self.gain, self.feature, self.threshold, self.mask = 0.0, -1, 0.0, None
+
+
+class _Growth:
+    """One tree's construction state inside a lockstep group.
+
+    The stack holds ``(rows, depth, parent, is_left)`` entries; the left child
+    is pushed last, so popping walks the tree in the pre-order of a recursive
+    builder.  Node numbering, candidate draws and importance sums therefore
+    happen in the same order whatever the other trees of the group do.
+    """
+
+    def __init__(self, tree, y: np.ndarray, rows: np.ndarray, n_features: int):
+        self.tree = tree
+        self.y = y
+        self.rng = np.random.default_rng(tree.random_state)
+        self.nodes: list[_Node] = []
+        self.importances = np.zeros(n_features, dtype=np.float64)
+        self.n_features = n_features
+        self.n_total = len(rows)
+        self.n_candidates = _resolve_max_features(tree.max_features, n_features)
+        # histogram gains of trees with different class counts are never
+        # scored on one zero-padded class axis: numpy's pairwise summation
+        # groups the terms of a longer axis differently
+        self.n_classes = len(getattr(tree, "classes_", ()))
+        self.stack = [(rows, 0, -1, False)]
+
+    def next_split(self) -> _Pending | None:
+        """Pop nodes until one needs a split search (``None`` once the tree is done).
+
+        Nodes that stop early become leaves on the way; they draw nothing from
+        the RNG.
+        """
+        tree = self.tree
+        while self.stack:
+            rows, depth, parent, is_left = self.stack.pop()
+            index = len(self.nodes)
+            if is_left:
+                self.nodes[parent].left = index
+            elif parent >= 0:
+                self.nodes[parent].right = index
+            y = self.y[rows]
+            value = tree._node_value(y)
+            self.nodes.append(_Node(-1, 0.0, -1, -1, value))
+            if (
+                len(rows) < tree.min_samples_split
+                or (tree.max_depth is not None and depth >= tree.max_depth)
+                or tree._node_impurity(y, value) <= 1e-12
+                or self.n_features == 0  # zero-feature matrices grow one constant leaf
+            ):
+                continue
+            if self.n_candidates < self.n_features:
+                candidates = self.rng.choice(
+                    self.n_features, size=self.n_candidates, replace=False
+                )
+            else:
+                candidates = np.arange(self.n_features)
+            return _Pending(self, index, rows, depth, candidates)
+        return None
+
+    def search_cells(self, n_rows: int, n_bins: int) -> int:
+        """Array cells a histogram search of one node of ``n_rows`` rows uses.
+
+        Per candidate: one per gathered row code; per bin one for the counts
+        and one per class (or one for the target sums); and, for each of at
+        most ``min(n_rows, n_bins)`` cuts scored, four temporaries per
+        statistic.
+        """
+        statistics = 1 + max(self.n_classes, 1)
+        cuts = min(n_rows, n_bins)
+        return self.n_candidates * (n_rows + statistics * (n_bins + 4 * cuts))
+
+    def split(self, pending: _Pending) -> None:
+        """Turn ``pending`` into an internal node unless a child would be too small."""
+        tree, mask = self.tree, pending.mask
+        n = len(pending.rows)
+        n_left = int(np.count_nonzero(mask))
+        if n_left < tree.min_samples_leaf or (n - n_left) < tree.min_samples_leaf:
+            return
+        self.importances[pending.feature] += pending.gain * (n / self.n_total)
+        node = self.nodes[pending.index]
+        node.feature = pending.feature
+        node.threshold = pending.threshold
+        depth = pending.depth + 1
+        self.stack.append((pending.rows[~mask], depth, pending.index, False))
+        self.stack.append((pending.rows[mask], depth, pending.index, True))
+
+    def finish(self) -> None:
+        """Hand the grown nodes and normalised importances to the tree."""
+        tree = self.tree
+        tree._nodes = self.nodes
+        tree.n_features_ = self.n_features
+        total = self.importances.sum()
+        if total > 0:
+            tree.feature_importances_ = self.importances / total
+        else:
+            tree.feature_importances_ = np.zeros(self.n_features, dtype=np.float64)
+
+
+def _choose(pending: _Pending, gains) -> int:
+    """Index of the winning candidate: the first to beat the best so far by 1e-15."""
+    choice = -1
+    for index, gain in enumerate(gains):
+        if gain > pending.gain + 1e-15:
+            pending.gain, choice = gain, index
+    return choice
+
+
+def _hist_search(pending: list[_Pending], binned: BinnedMatrix) -> None:
+    """Score every candidate split of ``pending`` with one ``bincount`` per statistic.
+
+    The nodes share one class count and one candidate count; a *slot* is one
+    (node, candidate) pair.  Each gathered code is keyed by (slot, bin), so
+    every bucket receives its rows in the node's own row order and
+    accumulates exactly as a single-node search would.  Gains are computed
+    only at cuts after a non-empty bin with rows on both sides: a cut after an
+    empty bin repeats the previous cut's statistics, and ``argmax`` keeps the
+    first of equal gains — the non-empty bin, exactly where the exact
+    kernel's sorted scan would have cut.
+    """
+    n_nodes, k = len(pending), len(pending[0].candidates)
+    candidates = np.array([p.candidates for p in pending])
+    n_bins = int(binned.n_bins[candidates].max())
+    if n_bins < 2:
+        return
+    sizes = [len(p.rows) for p in pending]
+    rows = np.concatenate([p.rows for p in pending])
+    codes = binned.codes[rows[:, None], np.repeat(candidates, sizes, axis=0)]
+    y = np.concatenate([p.growth.y[p.rows] for p in pending])
+    # (node, candidate) slot of every gathered code, scaled to its bin range,
+    # plus the code: built in place, as this is the step's largest array
+    flat = np.repeat(np.arange(0, n_nodes * k, k), sizes)[:, None] + np.arange(k)
+    flat *= n_bins
+    flat += codes
+    flat = flat.ravel()
+    n_slots = n_nodes * k
+    counts = np.bincount(flat, minlength=n_slots * n_bins)
+    cum_n = np.cumsum(counts.reshape(n_slots, n_bins), axis=1).ravel()
+    m = np.repeat(sizes, k)
+    filled = np.flatnonzero(counts)
+    n_left = cum_n[filled]
+    is_cut = n_left < m[filled // n_bins]
+    cuts = filled[is_cut]
+    gains = np.full(n_slots * n_bins, -np.inf)
+    gains[cuts] = pending[0].growth.tree._hist_gains(
+        flat, y, k, (n_slots, n_bins), cuts, n_left[is_cut], m
+    )
+    gains = gains.reshape(n_slots, n_bins)
+    best = np.argmax(gains, axis=1)
+    best_gains = gains[np.arange(n_slots), best].reshape(n_nodes, k).tolist()
+    chosen = [(i, _choose(p, best_gains[i])) for i, p in enumerate(pending)]
+    chosen = [(i, choice) for i, choice in chosen if choice >= 0]
+    if not chosen:
+        return
+    nodes, choices = (np.array(column) for column in zip(*chosen))
+    chosen_slots = nodes * k + choices
+    lo = best[chosen_slots]
+    # first non-empty bin to the right of the cut fixes the threshold
+    after = filled[np.searchsorted(filled, chosen_slots * n_bins + lo, side="right")]
+    hi = after - chosen_slots * n_bins
+    # every searched row's side of its own node's winning cut, in one gather
+    column = np.zeros(n_nodes, dtype=np.int64)
+    cut_bin = np.zeros(n_nodes, dtype=np.int64)
+    column[nodes], cut_bin[nodes] = choices, lo
+    column, cut_bin = np.repeat(column, sizes), np.repeat(cut_bin, sizes)
+    goes_left = codes[np.arange(len(rows)), column] <= cut_bin
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    for i, choice, bin_lo, bin_hi in zip(*(a.tolist() for a in (nodes, choices, lo, hi))):
+        p = pending[i]
+        p.feature = int(candidates[i, choice])
+        p.threshold = binned.split_threshold(p.feature, bin_lo, bin_hi)
+        p.mask = goes_left[starts[i]:starts[i + 1]]
+
+
+def _hist_step(pending: list[_Pending], binned: BinnedMatrix, n_bins: int, budget: int) -> None:
+    """Search ``pending`` in slices of at most ``budget`` array cells per call."""
+    by_classes: dict[int, list[_Pending]] = {}
+    for p in pending:
+        by_classes.setdefault(p.growth.n_classes, []).append(p)
+    for group in by_classes.values():
+        cells = [p.growth.search_cells(len(p.rows), n_bins) for p in group]
+        start = 0
+        while start < len(group):
+            stop, used = start + 1, cells[start]
+            while stop < len(group) and used + cells[stop] <= budget:
+                used += cells[stop]
+                stop += 1
+            _hist_search(group[start:stop], binned)
+            start = stop
+
+
+def _exact_search(p: _Pending, X: np.ndarray) -> None:
+    """The exact kernel's per-node search: sort every candidate feature."""
+    tree, y = p.growth.tree, p.growth.y[p.rows]
+    splits = [tree._best_split_for_feature(X[p.rows, feature], y) for feature in p.candidates]
+    choice = _choose(p, [gain for gain, _ in splits])
+    if choice >= 0:
+        p.feature, p.threshold = int(p.candidates[choice]), splits[choice][1]
+        p.mask = X[p.rows, p.feature] <= p.threshold
+
+
+def grow_trees(trees: list, X, y: np.ndarray, samples: list) -> None:
+    """Fit ``trees`` — unfitted, one kind, equal hyper-parameters — in lockstep.
+
+    ``X`` is a float matrix or a :class:`~repro.ml.binning.BinnedMatrix`
+    (histogram kernel only; a float matrix is binned once for the whole
+    group), ``y`` the validated target and ``samples[i]`` tree ``i``'s
+    training rows (``None`` for all rows, repeats allowed).  Every tree comes
+    out exactly as if grown alone: the group only decides which node searches
+    share a numpy call.  Steps are sliced so no search call uses more array
+    cells (gathered codes, histogram bins and scored cuts) than the larger of
+    one tree's root search and :data:`_STEP_CELLS_FLOOR`.
+    """
+    method = resolve_tree_method(trees[0].tree_method)
+    if isinstance(X, BinnedMatrix):
+        if method == "exact":
+            raise ValueError(
+                "the exact kernel cannot train on a BinnedMatrix; "
+                "pass the float matrix instead"
+            )
+        binned = X
+    elif method == "hist":
+        binned = BinnedMatrix.from_matrix(X, max_bins=trees[0].max_bins)
+    else:
+        binned = None
+    n_rows, n_features = X.shape
+    growths = []
+    for tree, sample in zip(trees, samples):
+        rows = np.arange(n_rows) if sample is None else np.asarray(sample, dtype=np.int64)
+        growths.append(_Growth(tree, tree._training_targets(y, sample), rows, n_features))
+    n_bins = int(binned.n_bins.max()) if binned is not None and n_features else 0
+    budget = max(_STEP_CELLS_FLOOR, *(g.search_cells(g.n_total, n_bins) for g in growths))
+    while True:
+        pending = [p for p in (g.next_split() for g in growths) if p is not None]
+        if not pending:
+            break
+        if binned is not None:
+            _hist_step(pending, binned, n_bins, budget)
+        else:
+            for p in pending:
+                _exact_search(p, X)
+        for p in pending:
+            if p.feature >= 0:
+                p.growth.split(p)
+    for growth in growths:
+        growth.finish()
+
+
 class _BaseDecisionTree(BaseEstimator):
-    """Shared CART construction machinery."""
+    """Shared CART machinery: fitting, inference and persistence."""
 
     def __init__(
         self,
@@ -88,12 +361,29 @@ class _BaseDecisionTree(BaseEstimator):
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
 
+    def fit(self, X, y, sample_indices: np.ndarray | None = None):
+        """Grow the tree on the training data.
+
+        ``X`` may be a float matrix or a prebuilt (shared)
+        :class:`~repro.ml.binning.BinnedMatrix`; ``sample_indices`` restricts
+        training to the given rows (with repeats — a bootstrap draw) without
+        copying the data.
+        """
+        X, y = check_fit_inputs(X, y)
+        grow_trees([self], X, y, [sample_indices])
+        return self
+
     # subclasses provide these -------------------------------------------------
+
+    def _training_targets(self, y: np.ndarray, sample_indices) -> np.ndarray:
+        """The per-row values construction reads (the target itself by default)."""
+        return y
 
     def _node_value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _node_impurity(self, y: np.ndarray) -> float:
+    def _node_impurity(self, y: np.ndarray, value: np.ndarray) -> float:
+        """Impurity of a node holding ``y``, whose ``_node_value`` is ``value``."""
         raise NotImplementedError
 
     def _best_split_for_feature(
@@ -106,153 +396,22 @@ class _BaseDecisionTree(BaseEstimator):
         self,
         flat: np.ndarray,
         y: np.ndarray,
-        cum_n: np.ndarray,
         k: int,
-        n_bins: int,
-        m: int,
-        valid: np.ndarray,
+        shape: tuple[int, int],
+        cuts: np.ndarray,
+        n_left: np.ndarray,
+        m: np.ndarray,
     ) -> np.ndarray:
-        """Per-boundary impurity decreases, shape ``(k, n_bins - 1)``.
+        """Impurity decreases of the cuts ``codes <= bin`` at ``cuts``.
 
-        ``flat`` holds each row's bin code offset by ``feature * n_bins`` (the
-        shared bincount key), ``cum_n`` the per-feature cumulative bin counts
-        and ``valid`` masks boundaries with rows on both sides.
+        A slot is one (node, candidate feature) pair.  ``flat`` holds each
+        gathered code offset by ``slot * n_bins`` (the shared bincount key of
+        the ``shape == (slots, n_bins)`` histogram grid), row-major over the
+        searched rows and their ``k`` candidates, and ``y`` those rows'
+        targets.  ``cuts`` are flat grid positions, ``n_left`` the rows left
+        of each cut and ``m`` each slot's node size.
         """
         raise NotImplementedError
-
-    def _hist_search(self, rows: np.ndarray, candidates: np.ndarray, y: np.ndarray):
-        """Histogram split search over all candidate features at once.
-
-        One shared ``bincount`` per statistic covers every candidate feature —
-        node cost is O(m·k + k·bins) with a handful of numpy calls, instead of
-        O(m log m) *per feature* for the exact kernel's sort.  Returns
-        ``(best_gains, best_bins, counts)`` aligned with ``candidates``;
-        features without a usable split get ``-inf``.
-
-        Boundary semantics match the exact kernel: every boundary with rows on
-        both sides is scored, duplicate boundaries created by empty bins tie
-        with identical gains and ``argmax`` keeps the first — the non-empty
-        bin — exactly where the sorted scan would have cut.
-        """
-        binned = self._binned
-        k = len(candidates)
-        if k == 0:  # zero-feature matrices grow a single constant leaf
-            return np.full(0, -np.inf), np.full(0, -1), None
-        n_bins = int(binned.n_bins[candidates].max())
-        if n_bins < 2:
-            return np.full(k, -np.inf), np.full(k, -1), None
-        sub = binned.codes[np.ix_(rows, candidates)].astype(np.int64)
-        m = len(rows)
-        sub += np.arange(k, dtype=np.int64) * n_bins  # offset codes per feature in place
-        flat = sub.ravel()
-        counts = np.bincount(flat, minlength=k * n_bins).reshape(k, n_bins)
-        cum_n = np.cumsum(counts, axis=1)
-        n_left = cum_n[:, :-1]
-        valid = (n_left > 0) & (n_left < m)
-        gains = self._hist_gains(flat, y, cum_n, k, n_bins, m, valid)
-        gains = np.where(valid, gains, -np.inf)
-        best = np.argmax(gains, axis=1)
-        best_gains = gains[np.arange(k), best]
-        best_gains = np.where(best_gains > 0, best_gains, -np.inf)
-        return best_gains, best, counts
-
-    # construction --------------------------------------------------------------
-
-    def _fit_tree(self, X, y: np.ndarray, sample_indices: np.ndarray | None = None) -> None:
-        if isinstance(X, BinnedMatrix):
-            if resolve_tree_method(self.tree_method) == "exact":
-                raise ValueError(
-                    "the exact kernel cannot train on a BinnedMatrix; "
-                    "pass the float matrix instead"
-                )
-            self._binned, self._X = X, None
-            self._method = "hist"
-        else:
-            self._method = resolve_tree_method(self.tree_method)
-            if self._method == "hist":
-                self._binned = BinnedMatrix.from_matrix(X, max_bins=self.max_bins)
-                self._X = None
-            else:
-                self._binned, self._X = None, X
-        n_rows, self.n_features_ = X.shape
-        self._y = y
-        self._nodes = []
-        self._importances = np.zeros(self.n_features_, dtype=np.float64)
-        self._rng = np.random.default_rng(self.random_state)
-        if sample_indices is None:
-            rows = np.arange(n_rows)
-        else:
-            rows = np.asarray(sample_indices, dtype=np.int64)
-        self._n_total = len(rows)
-        self._build(rows, depth=0)
-        total = self._importances.sum()
-        if total > 0:
-            self.feature_importances_ = self._importances / total
-        else:
-            self.feature_importances_ = np.zeros(self.n_features_, dtype=np.float64)
-        # drop training references: a shared BinnedMatrix must not be pinned by
-        # every tree of a forest, and fitted trees only ever see float inputs
-        self._binned = self._X = self._y = None
-
-    def _build(self, rows: np.ndarray, depth: int) -> int:
-        node_index = len(self._nodes)
-        y = self._y[rows]
-        value = self._node_value(y)
-        self._nodes.append(_Node(-1, 0.0, -1, -1, value))
-        n = len(rows)
-        if (
-            n < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or self._node_impurity(y) <= 1e-12
-        ):
-            return node_index
-
-        n_candidates = _resolve_max_features(self.max_features, self.n_features_)
-        if n_candidates < self.n_features_:
-            candidates = self._rng.choice(self.n_features_, size=n_candidates, replace=False)
-        else:
-            candidates = np.arange(self.n_features_)
-
-        best_gain, best_feature, best_threshold, best_bin = 0.0, -1, 0.0, -1
-        if self._method == "hist":
-            gains, bins, counts = self._hist_search(rows, candidates, y)
-            best_index = -1
-            for index in range(len(candidates)):
-                if gains[index] > best_gain + 1e-15:
-                    best_gain = float(gains[index])
-                    best_feature = int(candidates[index])
-                    best_bin = int(bins[index])
-                    best_index = index
-            if best_feature >= 0:
-                # first non-empty bin to the right of the cut fixes the threshold
-                above = np.nonzero(counts[best_index, best_bin + 1:])[0]
-                bin_hi = best_bin + 1 + int(above[0])
-                best_threshold = self._binned.split_threshold(best_feature, best_bin, bin_hi)
-        else:
-            for feature in candidates:
-                gain, threshold = self._best_split_for_feature(self._X[rows, feature], y)
-                if gain > best_gain + 1e-15:
-                    best_gain, best_feature, best_threshold = gain, int(feature), threshold
-        if best_feature < 0:
-            return node_index
-
-        if self._method == "hist":
-            mask = self._binned.codes[rows, best_feature] <= best_bin
-        else:
-            mask = self._X[rows, best_feature] <= best_threshold
-        n_left = int(mask.sum())
-        if n_left < self.min_samples_leaf or (n - n_left) < self.min_samples_leaf:
-            return node_index
-
-        self._importances[best_feature] += best_gain * (n / self._n_total)
-        left_index = self._build(rows[mask], depth + 1)
-        right_index = self._build(rows[~mask], depth + 1)
-        node = self._nodes[node_index]
-        node.feature = best_feature
-        node.threshold = best_threshold
-        node.left = left_index
-        node.right = right_index
-        return node_index
 
     # inference ------------------------------------------------------------------
 
@@ -262,18 +421,17 @@ class _BaseDecisionTree(BaseEstimator):
         if not self._nodes:
             raise RuntimeError("tree must be fitted before prediction")
         out = np.empty((X.shape[0], len(self._nodes[0].value)), dtype=np.float64)
-        indices = np.arange(X.shape[0])
-        self._route(X, indices, 0, out)
+        pending = [(0, np.arange(X.shape[0]))]
+        while pending:
+            node_index, indices = pending.pop()
+            node = self._nodes[node_index]
+            if node.feature < 0 or len(indices) == 0:
+                out[indices] = node.value
+                continue
+            mask = X[indices, node.feature] <= node.threshold
+            pending.append((node.right, indices[~mask]))
+            pending.append((node.left, indices[mask]))
         return out
-
-    def _route(self, X: np.ndarray, indices: np.ndarray, node_index: int, out: np.ndarray) -> None:
-        node = self._nodes[node_index]
-        if node.feature < 0 or len(indices) == 0:
-            out[indices] = node.value
-            return
-        mask = X[indices, node.feature] <= node.threshold
-        self._route(X, indices[mask], node.left, out)
-        self._route(X, indices[~mask], node.right, out)
 
     # persistence ----------------------------------------------------------------
 
@@ -349,32 +507,23 @@ class _BaseDecisionTree(BaseEstimator):
 
     def depth(self) -> int:
         """Depth of the fitted tree (0 for a single leaf)."""
-
-        def walk(index: int) -> int:
-            node = self._nodes[index]
-            if node.feature < 0:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
         if not self._nodes:
             return 0
-        return walk(0)
+        deepest = 0
+        pending = [(0, 0)]
+        while pending:
+            node_index, level = pending.pop()
+            node = self._nodes[node_index]
+            if node.feature < 0:
+                deepest = max(deepest, level)
+            else:
+                pending.append((node.left, level + 1))
+                pending.append((node.right, level + 1))
+        return deepest
 
 
 class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
     """CART regression tree minimising within-node variance."""
-
-    def fit(self, X, y, sample_indices: np.ndarray | None = None) -> "DecisionTreeRegressor":
-        """Grow the tree on the training data.
-
-        ``X`` may be a float matrix or a prebuilt (shared)
-        :class:`~repro.ml.binning.BinnedMatrix`; ``sample_indices`` restricts
-        training to the given rows (with repeats — a bootstrap draw) without
-        copying the data.
-        """
-        X, y = check_fit_inputs(X, y)
-        self._fit_tree(X, y, sample_indices)
-        return self
 
     def predict(self, X) -> np.ndarray:
         """Predict the mean target of the leaf each row falls into."""
@@ -383,7 +532,7 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
     def _node_value(self, y: np.ndarray) -> np.ndarray:
         return np.array([float(np.mean(y))])
 
-    def _node_impurity(self, y: np.ndarray) -> float:
+    def _node_impurity(self, y: np.ndarray, value: np.ndarray) -> float:
         return float(np.var(y))
 
     def _best_split_for_feature(self, values, y) -> tuple[float, float]:
@@ -413,44 +562,36 @@ class DecisionTreeRegressor(_BaseDecisionTree, RegressorMixin):
         threshold = (v[boundary] + v[boundary + 1]) / 2.0
         return float(gains[best]), float(threshold)
 
-    def _hist_gains(self, flat, y, cum_n, k, n_bins, m, valid) -> np.ndarray:
-        sums = np.bincount(
-            flat, weights=np.repeat(y, k), minlength=k * n_bins
-        ).reshape(k, n_bins)
-        cum_sum = np.cumsum(sums, axis=1)
-        total_sum = cum_sum[:, -1:]
-        n_left = cum_n[:, :-1]
-        n_right = m - n_left
-        left_sum = cum_sum[:, :-1]
+    def _hist_gains(self, flat, y, k, shape, cuts, n_left, m) -> np.ndarray:
+        sums = np.bincount(flat, weights=np.repeat(y, k), minlength=shape[0] * shape[1])
+        cum_sum = np.cumsum(sums.reshape(shape), axis=1)
+        slot = cuts // shape[1]
+        m = m[slot]
+        total_sum = cum_sum[:, -1][slot]
+        left_sum = cum_sum.ravel()[cuts]
         right_sum = total_sum - left_sum
-        safe_left = np.where(valid, n_left, 1)
-        safe_right = np.where(valid, n_right, 1)
+        n_right = m - n_left
         # same cancelled variance-decrease expression as the exact kernel, so
         # the two kernels stay bit-identical where binning is lossless
-        return (
-            left_sum**2 / safe_left + right_sum**2 / safe_right - total_sum**2 / m
-        ) / m
+        return (left_sum**2 / n_left + right_sum**2 / n_right - total_sum**2 / m) / m
 
 
 class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
     """CART classification tree minimising Gini impurity."""
 
-    def fit(self, X, y, sample_indices: np.ndarray | None = None) -> "DecisionTreeClassifier":
-        """Grow the tree on the training data.
+    def _training_targets(self, y: np.ndarray, sample_indices) -> np.ndarray:
+        """Class codes into ``classes_``, which come from the sampled rows only.
 
-        See :meth:`DecisionTreeRegressor.fit` for the accepted ``X`` kinds and
-        ``sample_indices`` semantics.  Classes are taken from the sampled rows
-        only, matching a fit on the materialised bootstrap sample.
+        That matches a fit on the materialised bootstrap sample.  Rows outside
+        the sample may get the out-of-range code ``len(classes_)``;
+        construction never visits them, so the codes are harmless.
         """
-        X, y = check_fit_inputs(X, y)
         y_seen = y if sample_indices is None else y[np.asarray(sample_indices)]
         self.classes_ = np.unique(y_seen)
         self._class_index = {cls: i for i, cls in enumerate(self.classes_)}
-        # rows outside the sample may get the out-of-range code len(classes_);
-        # construction never visits them, so the codes are harmless
+        # the narrowest integer type: a lockstep group holds every tree's codes
         codes = np.searchsorted(self.classes_, y)
-        self._fit_tree(X, codes.astype(np.float64), sample_indices)
-        return self
+        return codes.astype(np.min_scalar_type(len(self.classes_)))
 
     def predict_proba(self, X) -> np.ndarray:
         """Class-probability estimates (leaf class frequencies)."""
@@ -473,12 +614,11 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
         self._class_index = {cls: i for i, cls in enumerate(self.classes_)}
 
     def _node_value(self, codes: np.ndarray) -> np.ndarray:
-        counts = np.bincount(codes.astype(np.int64), minlength=len(self.classes_))
-        return counts / max(counts.sum(), 1)
+        counts = np.bincount(codes, minlength=len(self.classes_))
+        return counts / max(len(codes), 1)
 
-    def _node_impurity(self, codes: np.ndarray) -> float:
-        probabilities = self._node_value(codes)
-        return float(1.0 - np.sum(probabilities**2))
+    def _node_impurity(self, codes: np.ndarray, value: np.ndarray) -> float:
+        return float(1.0 - (value**2).sum())
 
     def _best_split_for_feature(self, values, codes) -> tuple[float, float]:
         order = np.argsort(values, kind="stable")
@@ -510,22 +650,32 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
         threshold = (v[boundary] + v[boundary + 1]) / 2.0
         return float(gains[best]), float(threshold)
 
-    def _hist_gains(self, flat, y, cum_n, k, n_bins, m, valid) -> np.ndarray:
+    def _hist_gains(self, flat, codes, k, shape, cuts, n_left, m) -> np.ndarray:
         n_classes = len(self.classes_)
-        class_codes = np.repeat(y.astype(np.int64), k)
-        joint = np.bincount(
-            flat * n_classes + class_codes,
-            minlength=k * n_bins * n_classes,
-        ).reshape(k, n_bins, n_classes)
-        cum_counts = np.cumsum(joint.astype(np.float64), axis=1)
-        total_counts = cum_counts[:, -1, :]  # (k, n_classes)
-        left_counts = cum_counts[:, :-1, :]  # (k, n_bins - 1, n_classes)
-        right_counts = total_counts[:, None, :] - left_counts
-        n_left = cum_n[:, :-1].astype(np.float64)
-        n_right = m - n_left
-        safe_left = np.where(valid, n_left, 1.0)
-        safe_right = np.where(valid, n_right, 1.0)
-        gini_left = 1.0 - np.sum((left_counts / safe_left[..., None]) ** 2, axis=2)
-        gini_right = 1.0 - np.sum((right_counts / safe_right[..., None]) ** 2, axis=2)
-        gini_parent = 1.0 - np.sum((total_counts / m) ** 2, axis=1)
-        return gini_parent[:, None] - (n_left / m) * gini_left - (n_right / m) * gini_right
+        keys = flat * n_classes
+        keys += np.repeat(codes, k)
+        joint = np.bincount(keys, minlength=shape[0] * shape[1] * n_classes)
+        del keys
+        # running counts summed in place as integers and cast once gathered:
+        # the exact values of a float cumsum, with one histogram grid alive
+        joint = joint.reshape(*shape, n_classes)
+        np.cumsum(joint, axis=1, out=joint)
+        slot = cuts // shape[1]
+        total_counts = joint[:, -1, :].astype(np.float64)  # (slots, n_classes)
+        left = joint.reshape(-1, n_classes)[cuts].astype(np.float64)  # (cuts, n_classes)
+        del joint
+        right = total_counts[slot]
+        right -= left
+        n_left = n_left.astype(np.float64)
+        m_cut = m[slot]
+        n_right = m_cut - n_left
+        # class shares squared in place: these are the step's widest arrays
+        left /= n_left[:, None]
+        left **= 2
+        right /= n_right[:, None]
+        right **= 2
+        gini_parent = 1.0 - ((total_counts / m[:, None]) ** 2).sum(axis=1)
+        gains = gini_parent[slot]
+        gains -= (n_left / m_cut) * (1.0 - left.sum(axis=1))
+        gains -= (n_right / m_cut) * (1.0 - right.sum(axis=1))
+        return gains

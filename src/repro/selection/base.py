@@ -152,13 +152,20 @@ class FeatureProvenance:
 
 @dataclass
 class SelectionResult:
-    """Outcome of running a feature selector."""
+    """Outcome of running a feature selector.
+
+    ``holdout_score`` is the :func:`holdout_score` of the selected columns
+    when the selector already computed it with the caller's estimator, the
+    selector's ``random_state`` and task-default stratification (``None``
+    otherwise), so callers need not fit that forest again.
+    """
 
     selected: np.ndarray
     scores: np.ndarray | None = None
     elapsed: float = 0.0
     method: str = ""
     details: dict = field(default_factory=dict)
+    holdout_score: float | None = None
 
     @property
     def num_selected(self) -> int:

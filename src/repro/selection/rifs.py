@@ -272,11 +272,13 @@ class RIFS(FeatureSelector):
                     # accuracy stopped increasing monotonically: keep previous subset
                     break
                 previous_score = score
+            chosen_score = float(best_score)
             if best_subset is None or len(best_subset) == 0:
                 # fall back to the highest-fraction features so we never return nothing
                 order = np.argsort(-fractions, kind="stable")
                 best_subset = order[: max(self.min_keep, 1)]
                 diagnostics.chosen_threshold = None
+                chosen_score = None
             self.diagnostics_ = diagnostics
             return SelectionResult(
                 selected=np.sort(best_subset),
@@ -287,6 +289,7 @@ class RIFS(FeatureSelector):
                         zip(diagnostics.thresholds_tried, diagnostics.threshold_scores)
                     ),
                 },
+                holdout_score=chosen_score,
             )
 
         return self._timed(run)

@@ -83,9 +83,11 @@ class TestBinnedMatrix:
         y = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.empty((4, 0))
         for method in ("exact", "hist"):
-            tree = DecisionTreeRegressor(tree_method=method).fit(X, y)
-            assert tree.node_count == 1
-            assert tree.predict(X).tolist() == [2.5] * 4
+            for max_features in (None, "sqrt"):
+                tree = DecisionTreeRegressor(tree_method=method, max_features=max_features)
+                tree.fit(X, y)
+                assert tree.node_count == 1
+                assert tree.predict(X).tolist() == [2.5] * 4
 
     def test_explicit_exact_rejects_binned_input(self, rng):
         X = rng.normal(size=(30, 2))
@@ -253,15 +255,22 @@ class TestParallelDeterminism:
     def test_forest_identical_across_executors(self, rng):
         X = rng.normal(size=(200, 6))
         y = (X[:, 0] + X[:, 1] > 0).astype(float)
-        reference = RandomForestClassifier(n_estimators=6, random_state=3).fit(X, y)
-        for executor, n_jobs in EXECUTORS[1:]:
-            parallel = RandomForestClassifier(
-                n_estimators=6, random_state=3, executor=executor, n_jobs=n_jobs
-            ).fit(X, y)
-            assert np.array_equal(reference.predict_proba(X), parallel.predict_proba(X))
-            assert np.array_equal(
-                reference.feature_importances_, parallel.feature_importances_
-            )
+        # each worker grows one contiguous group of trees (7 trees: 3 + 4)
+        for n_estimators in (6, 7):
+            reference = RandomForestClassifier(n_estimators=n_estimators, random_state=3).fit(X, y)
+            _, reference_arrays = reference.to_state()
+            for executor, n_jobs in EXECUTORS[1:]:
+                parallel = RandomForestClassifier(
+                    n_estimators=n_estimators, random_state=3, executor=executor, n_jobs=n_jobs
+                ).fit(X, y)
+                assert np.array_equal(reference.predict_proba(X), parallel.predict_proba(X))
+                assert np.array_equal(
+                    reference.feature_importances_, parallel.feature_importances_
+                )
+                _, arrays = parallel.to_state()
+                assert arrays.keys() == reference_arrays.keys()
+                for name, values in arrays.items():
+                    assert values.tobytes() == reference_arrays[name].tobytes(), name
 
     @pytest.mark.parametrize("method", ["hist", "exact"])
     def test_rifs_selections_identical_across_executors(self, method, rng):

@@ -16,6 +16,7 @@ from repro.selection import (
     inject_noise_features,
     inject_standard_noise,
 )
+from repro.selection.base import default_estimator, holdout_score
 from repro.selection.injection import feature_moments
 from repro.selection.tuple_ratio import TupleRatioFilter, foreign_key_domain_size, tuple_ratio
 from repro.relational import Table
@@ -132,6 +133,25 @@ class TestRIFS:
         y = rng.normal(size=80)
         result = RIFS(n_rounds=2).select(X, y, task=REGRESSION)
         assert len(result.selected) >= 1
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_holdout_score_is_the_chosen_subsets_fresh_score(
+        self, task, regression_matrix, classification_matrix
+    ):
+        X, y = classification_matrix if task == CLASSIFICATION else regression_matrix
+        estimator = default_estimator(task, random_state=3)
+        result = RIFS(n_rounds=2, random_state=5).select(X, y, task=task, estimator=estimator)
+        fresh = holdout_score(X[:, result.selected], y, task, estimator=estimator, random_state=5)
+        assert result.holdout_score is not None
+        assert np.float64(result.holdout_score).tobytes() == np.float64(fresh).tobytes()
+
+    def test_fallback_selection_reports_no_holdout_score(self):
+        # min_keep above the feature count: every threshold's subset is too small
+        X = np.random.default_rng(0).normal(size=(60, 4))
+        y = X[:, 0] + 0.1
+        result = RIFS(n_rounds=1, min_keep=5).select(X, y, task=REGRESSION)
+        assert result.details["chosen_threshold"] is None
+        assert result.holdout_score is None
 
     def test_result_scores_are_fractions(self, regression_matrix):
         X, y = regression_matrix
