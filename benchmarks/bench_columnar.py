@@ -12,6 +12,9 @@ faithful copies of the legacy object-array kernels it replaced:
 * **take/filter** — coreset-style row sampling: legacy eager per-column gather
   vs lazy index-backed views that only materialise the touched key column
   (peak allocations measured with ``tracemalloc``).
+* **group-by-aggregate** — join pre-aggregation (mean + mode) of a table with
+  fan-out 32–64 per key: legacy per-group ``np.nanmean`` loop vs the segment
+  kernels, which must reproduce it byte for byte.
 
 Standalone on purpose (no pytest-benchmark dependency) so CI can smoke it:
 
@@ -30,7 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.discovery.profiles import profile_table
+from repro.relational.aggregate import _group_rows, group_by_aggregate
+from repro.relational.column import Column
 from repro.relational.join import _match_first_occurrence
+from repro.relational.schema import CATEGORICAL
 from repro.relational.table import Table
 
 # ---------------------------------------------------------------------------
@@ -97,6 +103,59 @@ def _legacy_match_first_occurrence(left_arrays, right_arrays, cat_flags):
     hit = in_range & (unique_keys[clipped] == probe)
     match_index[left_rows[hit]] = first_rows[clipped[hit]]
     return match_index
+
+
+def _legacy_mode_codes_per_group(sorted_codes, sorted_group_ids, n_groups):
+    """Old per-group mode: one lexsort over the (group, code) pairs."""
+    out = np.full(n_groups, -1, dtype=np.int32)
+    valid = sorted_codes >= 0
+    if not valid.any():
+        return out
+    groups = sorted_group_ids[valid].astype(np.int64)
+    codes = sorted_codes[valid].astype(np.int64)
+    order = np.lexsort((codes, groups))
+    g, c = groups[order], codes[order]
+    run_start = np.ones(len(g), dtype=bool)
+    run_start[1:] = (g[1:] != g[:-1]) | (c[1:] != c[:-1])
+    starts = np.nonzero(run_start)[0]
+    counts = np.diff(np.append(starts, len(g)))
+    pair_group = g[starts]
+    pair_code = c[starts]
+    first_row = order[starts]
+    best = np.lexsort((first_row, -counts, pair_group))
+    keep = np.ones(len(best), dtype=bool)
+    keep[1:] = pair_group[best[1:]] != pair_group[best[:-1]]
+    chosen = best[keep]
+    out[pair_group[chosen]] = pair_code[chosen]
+    return out
+
+
+def _legacy_group_by_mean_mode(table: Table, key: str) -> Table:
+    """Old ``group_by_aggregate``: one ``np.nanmean`` call per group per
+    numeric column, the categorical mode on code slices."""
+    group_ids, first_rows = _group_rows(table, [key])
+    n_groups = len(first_rows)
+    order = np.argsort(group_ids, kind="stable")
+    sorted_ids = group_ids[order]
+    boundaries = np.append(np.searchsorted(sorted_ids, np.arange(n_groups)), len(sorted_ids))
+    out = [table.column(key).take(first_rows)]
+    for col in table.columns():
+        if col.name == key:
+            continue
+        if col.ctype is CATEGORICAL:
+            codes = _legacy_mode_codes_per_group(col.codes[order], sorted_ids, n_groups)
+            out.append(Column.from_codes(col.name, codes, col.dictionary))
+            continue
+        data = col.values[order]
+        values = np.array(
+            [
+                float(np.nanmean(v)) if np.any(~np.isnan(v)) else float("nan")
+                for v in (data[boundaries[g]:boundaries[g + 1]] for g in range(n_groups))
+            ],
+            dtype=np.float64,
+        )
+        out.append(Column.from_array(col.name, values, col.ctype))
+    return Table(out, name=table.name)
 
 
 def _legacy_stable_hash(value: str, seed: int) -> int:
@@ -171,6 +230,22 @@ def build_tables(n_left: int, n_right: int, seed: int = 0) -> tuple[Table, Table
         name="foreign",
     )
     return left, right
+
+
+def build_fanout_table(n_keys: int, seed: int = 0) -> Table:
+    """A foreign table with 32–64 rows per key (shuffled), four numeric
+    columns with 10 % missing values and one categorical column."""
+    rng = np.random.default_rng(seed)
+    keys = np.repeat(np.arange(n_keys, dtype=np.float64), rng.integers(32, 65, size=n_keys))
+    rng.shuffle(keys)
+    n = len(keys)
+    data: dict = {"key": keys}
+    for j in range(4):
+        values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 6, size=n)
+        values[rng.random(n) < 0.1] = np.nan
+        data[f"x{j}"] = values
+    data["label"] = [f"label-{i:02d}" for i in rng.integers(0, 20, size=n)]
+    return Table.from_dict(data, types={"label": CATEGORICAL}, name="fanout")
 
 
 def _timed(fn, repeats: int) -> float:
@@ -268,6 +343,28 @@ def bench_take(left: Table, repeats: int) -> dict:
     }
 
 
+def bench_group_by_aggregate(table: Table, repeats: int) -> dict:
+    """Pre-aggregation (mean + mode) on a fan-out-32–64 table: legacy
+    per-group loop vs segment kernels, outputs byte for byte equal."""
+    legacy = _timed(lambda: _legacy_group_by_mean_mode(table, "key"), repeats)
+    new = _timed(lambda: group_by_aggregate(table, ["key"]), repeats)
+    expected = _legacy_group_by_mean_mode(table, "key")
+    got = group_by_aggregate(table, ["key"])
+    for name in expected.column_names:
+        want, have = expected.column(name), got.column(name)
+        if want.ctype is CATEGORICAL:
+            assert np.array_equal(want.codes, have.codes), f"{name} diverged"
+        else:
+            assert want.values.tobytes() == have.values.tobytes(), f"{name} diverged"
+    return {
+        "bench": "group-by-aggregate",
+        "legacy_s": legacy,
+        "new_s": new,
+        "speedup": legacy / new,
+        "rows": table.num_rows,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small sizes for CI smoke runs")
@@ -280,12 +377,14 @@ def main() -> int:
 
     print(f"building tables: base={n_left} rows, foreign={n_right} rows")
     left, right = build_tables(n_left, n_right)
+    fanout = build_fanout_table(n_keys=4000 if args.quick else 20_000)
     results = [
         bench_join_probe(left, right, repeats),
         bench_profile(left, right, repeats),
         bench_take(left, repeats),
+        bench_group_by_aggregate(fanout, repeats),
     ]
-    print(f"\n{'bench':<12} {'legacy':>10} {'new':>10} {'speedup':>9}   extra")
+    print(f"\n{'bench':<18} {'legacy':>10} {'new':>10} {'speedup':>9}   extra")
     for row in results:
         extra = ""
         if "legacy_peak_kb" in row:
@@ -294,7 +393,7 @@ def main() -> int:
                 f"({row['legacy_peak_kb'] / max(row['new_peak_kb'], 0.001):.0f}x less)"
             )
         print(
-            f"{row['bench']:<12} {row['legacy_s'] * 1e3:>8.1f}ms {row['new_s'] * 1e3:>8.1f}ms "
+            f"{row['bench']:<18} {row['legacy_s'] * 1e3:>8.1f}ms {row['new_s'] * 1e3:>8.1f}ms "
             f"{row['speedup']:>8.1f}x   {extra}"
         )
     if args.json:

@@ -165,17 +165,21 @@ def kept_build_side(
 ) -> Table:
     """The build side of one kept hard-key join, projected to what it keeps.
 
-    ``foreign`` is prefixed exactly as :func:`execute_join` prefixes it, and
-    ``positions`` index its non-key columns in table order — the columns its
-    join adds.  The result holds the foreign key columns followed by the
-    kept columns in ``positions`` order, so columns feature selection
-    dropped are never aggregated, hashed or decoded, and a LEFT join against
-    it adds exactly the kept columns, in ``positions`` order.
+    ``positions`` index ``foreign``'s non-key columns in table order — the
+    columns its join adds.  The result holds the foreign key columns followed
+    by the kept columns in ``positions`` order, prefixed exactly as
+    :func:`execute_join` prefixes them, so columns feature selection dropped
+    are never aggregated, hashed, decoded or even renamed, and a LEFT join
+    against it adds exactly the kept columns, in ``positions`` order.
     """
-    foreign = foreign.prefix_columns(f"{foreign.name}.", exclude=candidate.foreign_columns)
     keys = list(dict.fromkeys(candidate.foreign_columns))
     added = [name for name in foreign.column_names if name not in keys]
-    return foreign.select(keys + [added[position] for position in positions])
+    kept = [foreign.column(added[position]) for position in positions]
+    return Table(
+        [foreign.column(key) for key in keys]
+        + [column.rename(f"{foreign.name}.{column.name}") for column in kept],
+        name=foreign.name,
+    )
 
 
 def prepare_kept_joins(

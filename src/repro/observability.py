@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_left
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -148,13 +149,9 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        # linear scan: bucket lists are short (~16) and observation must not
-        # allocate; bisect would win only for much larger bucket sets
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
+        # the first bound >= value; NaN compares false with every bound, so it
+        # goes to the trailing +inf slot
+        index = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
             self._counts[index] += 1
             self._count += 1

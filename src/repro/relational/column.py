@@ -322,15 +322,11 @@ class Column:
 
         Returns a lazy view: no column data is copied until the result is read.
         """
-        indices = np.asarray(indices)
-        if indices.dtype.kind not in "iu":
-            raise TypeError("take() requires integer indices")
-        if len(indices):
-            # validate eagerly (the gather is deferred, numpy's own bounds
-            # error would otherwise surface far from the faulty call site)
-            n = len(self)
-            if int(indices.min()) < -n or int(indices.max()) >= n:
-                raise IndexError(f"take() index out of bounds for column of length {n}")
+        return self._view(checked_indices(indices, len(self)))
+
+    def _view(self, indices: np.ndarray) -> "Column":
+        """The lazy view of rows ``indices``, already checked against this
+        column's length (a table checks once for all its columns)."""
         pending = self._pending  # local snapshot: a concurrent _resolve may clear it
         if pending is not None:
             base, base_indices = pending
@@ -447,6 +443,20 @@ def _coerce_float(values, ctype: ColumnType) -> np.ndarray:
         else:
             out[i] = float(value)
     return out
+
+
+def checked_indices(indices, n: int) -> np.ndarray:
+    """``indices`` as an integer array of positions into ``n`` rows.
+
+    Checked eagerly: a view defers its gather, so numpy's own bounds error
+    would otherwise surface far from the faulty call site.
+    """
+    indices = np.asarray(indices)
+    if indices.dtype.kind not in "iu":
+        raise TypeError("take() requires integer indices")
+    if len(indices) and (int(indices.min()) < -n or int(indices.max()) >= n):
+        raise IndexError(f"take() index out of bounds for column of length {n}")
+    return indices
 
 
 def remap_dictionary(dictionary: np.ndarray, index: dict[str, int], grow: bool = True) -> np.ndarray:

@@ -6,8 +6,13 @@ unmatched rows get NULLs, which are later imputed (paper section 4, "Joins").
 
 One build-once probe-many join drives every path: :class:`StreamingHashJoin`
 prepares the (small) build side once — pre-aggregation, output naming — and
-joins the (large) base table one row group at a time.  :func:`left_join` is
-its one-chunk case: an in-memory :class:`Table` is joined as a single chunk.
+joins the (large) base table one row group at a time.  Its build keys are
+prepared on the first probe (:class:`_BuildKeys`: each key column's sorted
+distinct values, the build rows packed mixed-radix over them, the first
+build row of each distinct key), so probing a chunk only maps the chunk's
+own keys into that domain with ``searchsorted``; the zone-map pruner reads
+its key ranges off the same prepared keys.  :func:`left_join` is its
+one-chunk case: an in-memory :class:`Table` is joined as a single chunk.
 :func:`iter_streaming_left_join` streams a
 :class:`~repro.relational.persist.ChunkedTableReader` through it; chunks whose
 zone map cannot intersect the build side's key range are **pruned**: their
@@ -85,41 +90,124 @@ def _build_hash_index(columns: Sequence[Column]) -> dict[tuple, int]:
     return index
 
 
-def _factorize_pair(
-    left_col: Column, right_col: Column
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Encode one key-column pair into shared integer codes (-1 = missing).
+class _BuildKeys:
+    """The key columns of one build side, prepared once for every probe.
 
-    Returns ``None`` when the pair can never match (categorical against
-    numeric), mirroring how tuple equality across those types always fails.
-
-    Categorical pairs never touch row-level strings: the two dictionaries are
-    reconciled into one shared code space (a dictionary is tiny compared to the
-    rows), and the stored code arrays are translated with one integer gather.
+    Each key column keeps its distinct non-missing values: a numeric key as
+    a sorted ``float64`` array (``-0.0`` and ``0.0`` are one value), a
+    categorical key as a ``{text: code}`` index over the strings its rows
+    hold.  Build rows with no missing key part are packed mixed-radix over
+    those domains, and :attr:`unique_keys` holds each distinct packed key in
+    sorted order with :attr:`first_rows`, the first build row carrying it.
+    A probe then maps left rows into the same domains — a ``searchsorted``
+    for numeric keys, a dictionary remap for categorical ones — and never
+    touches the build keys again.  When the packed span would overflow
+    ``int64`` (only possible for very wide composite keys over huge domains),
+    :attr:`unique_keys` is ``None`` and probes take the dict-based path.
     """
-    left_is_cat = left_col.ctype is CATEGORICAL
-    if left_is_cat != (right_col.ctype is CATEGORICAL):
+
+    def __init__(self, key_columns: Sequence[Column]):
+        self.columns = list(key_columns)
+        self.domains: list[np.ndarray | dict[str, int]] = []
+        packed = None
+        span = 1
+        for col in self.columns:
+            domain, codes = _key_domain(col)
+            self.domains.append(domain)
+            span *= max(len(domain), 1)
+            packed = _pack(packed, codes, len(domain))
+        self.unique_keys: np.ndarray | None = None
+        self.first_rows = np.empty(0, dtype=np.int64)
+        if span > 2**62:
+            return
+        rows = np.nonzero(packed >= 0)[0]
+        order = np.argsort(packed[rows], kind="stable")
+        sorted_keys = packed[rows][order]
+        is_first = np.ones(len(sorted_keys), dtype=bool)
+        is_first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        self.unique_keys = sorted_keys[is_first]
+        self.first_rows = rows[order][is_first]
+
+    def ranges(self) -> list[tuple]:
+        """The :class:`KeyRangePruner` ranges of these keys."""
+        out: list[tuple] = []
+        for domain in self.domains:
+            if isinstance(domain, dict):
+                out.append(("cat", list(domain)))
+            elif len(domain):
+                out.append(("num", float(domain[0]), float(domain[-1])))
+            else:
+                out.append(("num-empty",))
+        return out
+
+    def probe(self, left_columns: Sequence[Column]) -> np.ndarray:
+        """First matching build row per left row (``-1``: no match).
+
+        Rows with a missing key part never match, and a categorical key
+        never equals a numeric one.
+        """
+        if self.unique_keys is None:
+            return _match_via_hash_index(left_columns, self.columns)
+        n = len(left_columns[0])
+        if not len(self.unique_keys):
+            return np.full(n, -1, dtype=np.int64)
+        packed = None
+        for col, domain in zip(left_columns, self.domains):
+            codes = _domain_codes(col, domain)
+            if codes is None:
+                return np.full(n, -1, dtype=np.int64)
+            packed = _pack(packed, codes, len(domain))
+        positions = np.minimum(
+            np.searchsorted(self.unique_keys, packed), len(self.unique_keys) - 1
+        )
+        hit = self.unique_keys[positions] == packed
+        return np.where(hit, self.first_rows[positions], -1)
+
+
+def _pack(packed: np.ndarray | None, codes: np.ndarray, radix: int) -> np.ndarray:
+    """Append one key column's codes to the mixed-radix packed keys.
+
+    A row missing any key part (code ``-1``) packs to ``-1``, which no build
+    key equals.
+    """
+    if packed is None:
+        return codes
+    return np.where(codes < 0, -1, packed * radix + codes)
+
+
+def _key_domain(col: Column) -> tuple[np.ndarray | dict[str, int], np.ndarray]:
+    """One build key column's distinct values and each row's code in them
+    (``-1`` = missing)."""
+    if col.ctype is CATEGORICAL:
+        present = np.unique(col.codes)
+        index: dict[str, int] = {}
+        for code in present[present >= 0]:
+            index.setdefault(col.dictionary[code], len(index))
+        translate = remap_dictionary(col.dictionary, index, grow=False)
+        return index, translate[col.codes].astype(np.int64)
+    values = col.values
+    valid = ~np.isnan(values)
+    domain, inverse = np.unique(values[valid], return_inverse=True)
+    codes = np.full(len(values), -1, dtype=np.int64)
+    codes[valid] = inverse
+    return domain, codes
+
+
+def _domain_codes(col: Column, domain: np.ndarray | dict[str, int]) -> np.ndarray | None:
+    """A left key column's codes in a build key's domain (``-1`` = missing or
+    absent from the build side), or ``None`` for a categorical/numeric pair,
+    which never matches."""
+    if isinstance(domain, dict):
+        if col.ctype is not CATEGORICAL:
+            return None
+        return remap_dictionary(col.dictionary, domain, grow=False)[col.codes].astype(np.int64)
+    if col.ctype is CATEGORICAL:
         return None
-    if left_is_cat:
-        shared: dict[str, int] = {
-            text: code for code, text in enumerate(left_col.dictionary)
-        }
-        translate = remap_dictionary(right_col.dictionary, shared)
-        left_code = left_col.codes.astype(np.int64)
-        right_code = translate[right_col.codes].astype(np.int64)
-        return left_code, right_code
-    left_valid = ~left_col.missing_mask()
-    right_valid = ~right_col.missing_mask()
-    left_values = left_col.values[left_valid]
-    right_values = right_col.values[right_valid]
-    _, inverse = np.unique(
-        np.concatenate([left_values, right_values]), return_inverse=True
-    )
-    left_code = np.full(len(left_col), -1, dtype=np.int64)
-    right_code = np.full(len(right_col), -1, dtype=np.int64)
-    left_code[left_valid] = inverse[: len(left_values)]
-    right_code[right_valid] = inverse[len(left_values):]
-    return left_code, right_code
+    values = col.values
+    if not len(domain):
+        return np.full(len(values), -1, dtype=np.int64)
+    positions = np.minimum(np.searchsorted(domain, values), len(domain) - 1)
+    return np.where(domain[positions] == values, positions, -1)
 
 
 def _match_first_occurrence(
@@ -128,54 +216,12 @@ def _match_first_occurrence(
     """Vectorised hash-join probe: first matching right row per left row.
 
     Replicates ``_build_hash_index`` + per-row lookup (first right occurrence
-    wins, rows with a missing key part never match) without the per-row Python
-    loop: each key pair is factorised into shared integer codes, composite keys
-    are packed mixed-radix into one int64, and the probe becomes a
-    ``searchsorted`` against the first occurrence of each right key.  Falls
-    back to the dict-based path if the packed codes would overflow int64
-    (only possible for very wide composite keys over huge domains).
+    wins, rows with a missing key part never match) without the per-row
+    Python loop, by preparing the right keys (:class:`_BuildKeys`) and
+    probing the left ones.  A :class:`StreamingHashJoin` prepares once and
+    probes every chunk.
     """
-    n_left = len(left_columns[0])
-    n_right = len(right_columns[0])
-    left_code = np.zeros(n_left, dtype=np.int64)
-    right_code = np.zeros(n_right, dtype=np.int64)
-    left_ok = np.ones(n_left, dtype=bool)
-    right_ok = np.ones(n_right, dtype=bool)
-    span = 1
-    for left_col, right_col in zip(left_columns, right_columns):
-        pair = _factorize_pair(left_col, right_col)
-        if pair is None:
-            return np.full(n_left, -1, dtype=np.int64)
-        codes_left, codes_right = pair
-        radix = int(max(codes_left.max(initial=-1), codes_right.max(initial=-1))) + 2
-        span *= radix
-        if span > 2**62:
-            return _match_via_hash_index(left_columns, right_columns)
-        left_ok &= codes_left >= 0
-        right_ok &= codes_right >= 0
-        left_code = left_code * radix + (codes_left + 1)
-        right_code = right_code * radix + (codes_right + 1)
-
-    match_index = np.full(n_left, -1, dtype=np.int64)
-    right_rows = np.nonzero(right_ok)[0]
-    if not len(right_rows):
-        return match_index
-    order = np.argsort(right_code[right_rows], kind="stable")
-    sorted_keys = right_code[right_rows][order]
-    sorted_rows = right_rows[order]
-    is_first = np.ones(len(sorted_keys), dtype=bool)
-    is_first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    unique_keys = sorted_keys[is_first]
-    first_rows = sorted_rows[is_first]
-
-    left_rows = np.nonzero(left_ok)[0]
-    probe = left_code[left_rows]
-    positions = np.searchsorted(unique_keys, probe)
-    in_range = positions < len(unique_keys)
-    clipped = np.clip(positions, 0, len(unique_keys) - 1)
-    hit = in_range & (unique_keys[clipped] == probe)
-    match_index[left_rows[hit]] = first_rows[clipped[hit]]
-    return match_index
+    return _BuildKeys(right_columns).probe(left_columns)
 
 
 def _match_via_hash_index(
@@ -558,24 +604,6 @@ class KeyRangePruner:
         return (first, max(first, last))
 
 
-def build_key_ranges(key_columns: Sequence[Column]) -> list[tuple]:
-    """The :class:`KeyRangePruner` ranges of one prepared build side."""
-    ranges: list[tuple] = []
-    for rcol in key_columns:
-        if rcol.ctype is CATEGORICAL:
-            codes = rcol.codes
-            present = np.unique(codes[codes >= 0])
-            ranges.append(("cat", [rcol.dictionary[c] for c in present]))
-        else:
-            values = rcol.values
-            valid = values[~np.isnan(values)]
-            if len(valid):
-                ranges.append(("num", float(valid.min()), float(valid.max())))
-            else:
-                ranges.append(("num-empty",))
-    return ranges
-
-
 def _pruned_flags(
     source, make_pruner: Callable[[], KeyRangePruner], prune: bool
 ) -> list[bool]:
@@ -611,8 +639,10 @@ class StreamingHashJoin:
     call then handles one base chunk independently — :func:`left_join` is the
     one-chunk case — and the object is picklable, so chunks can fan out across
     process pools with the build side shipped once per worker.  The build
-    side's per-key value ranges (:attr:`pruner`) are computed on first use,
-    which only a source with zone maps ever asks for.
+    keys (:attr:`build_keys`) are prepared on the first probe, and the
+    per-key value ranges (:attr:`pruner`) are read off them on first use,
+    which only a source with zone maps ever asks for.  Preparation is
+    deterministic, so threads racing a first probe agree on every match.
     """
 
     right: Table
@@ -640,10 +670,14 @@ class StreamingHashJoin:
             self.numeric_agg,
             self.categorical_agg,
         )
-        self.right_key_columns = [self.right.column(k) for k in self.right_keys]
         self.output = _output_names(
             self.right, self.right_keys, self.left_schema.names, self.suffix
         )
+
+    @cached_property
+    def build_keys(self) -> _BuildKeys:
+        """The build side's key columns prepared for probing, on first use."""
+        return _BuildKeys([self.right.column(k) for k in self.right_keys])
 
     @cached_property
     def pruner(self) -> KeyRangePruner:
@@ -652,9 +686,7 @@ class StreamingHashJoin:
         distinct strings (a chunk's code zone is translated through the base
         dictionary at prune time).  An empty range means no base row can ever
         match."""
-        return KeyRangePruner(
-            self.on, self.left_schema, build_key_ranges(self.right_key_columns)
-        )
+        return KeyRangePruner(self.on, self.left_schema, self.build_keys.ranges())
 
     @property
     def output_names(self) -> list[str]:
@@ -665,8 +697,7 @@ class StreamingHashJoin:
 
     def probe_chunk(self, chunk: Table) -> np.ndarray:
         """First-match index into the prepared right table for each chunk row."""
-        left_key_columns = [chunk.column(k) for k in self.left_keys]
-        return _match_first_occurrence(left_key_columns, self.right_key_columns)
+        return self.build_keys.probe([chunk.column(k) for k in self.left_keys])
 
     def gather(self, match_index: np.ndarray) -> list[Column]:
         """The augmented columns for one probed chunk, in output order."""

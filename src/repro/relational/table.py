@@ -6,7 +6,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.relational.column import Column, concat_columns
+from repro.relational.column import Column, checked_indices, concat_columns
 from repro.relational.schema import (
     CATEGORICAL,
     ColumnSpec,
@@ -227,8 +227,9 @@ class Table:
         data is read, so coreset sampling and batch-join probing never copy
         feature columns they do not touch.
         """
-        indices = np.asarray(indices)
-        return Table([col.take(indices) for col in self.columns()], name=self.name)
+        if self._columns:
+            indices = checked_indices(indices, self.num_rows)
+        return Table([col._view(indices) for col in self.columns()], name=self.name)
 
     def filter(self, mask: np.ndarray) -> "Table":
         """Select rows where ``mask`` is True (lazy, like :meth:`take`)."""
@@ -236,7 +237,7 @@ class Table:
         if len(mask) != self.num_rows:
             raise ValueError("mask length does not match row count")
         indices = np.nonzero(mask)[0]
-        return Table([col.take(indices) for col in self.columns()], name=self.name)
+        return Table([col._view(indices) for col in self.columns()], name=self.name)
 
     def sort_by(self, name: str, descending: bool = False) -> "Table":
         """Sort rows by one column (missing values last)."""

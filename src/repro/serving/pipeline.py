@@ -303,9 +303,9 @@ class FittedPipeline:
         that touch.  It also prepares the hard-key build sides
         (:func:`~repro.core.join_execution.prepare_kept_joins`) that every
         later transform probes, so the first request after a (hot) load
-        does not pay for them.  No-op for a join-free pipeline; requires
-        :meth:`bind` (or a training-time binding) first.  Returns ``self``
-        for chaining.
+        does not pay for them; it only sorts their probe keys, on its first
+        probe.  No-op for a join-free pipeline; requires :meth:`bind` (or a
+        training-time binding) first.  Returns ``self`` for chaining.
         """
         if not self.joins:
             return self
@@ -362,21 +362,20 @@ class FittedPipeline:
         prediction).  Extra columns are dropped so they cannot collide with
         the pinned names of replayed join columns.
         """
-        missing = [name for name in self._required if name not in rows]
-        if missing:
-            raise KeyError(f"serving rows are missing base columns: {missing}")
-        for spec in self._schema:
-            if spec.name not in rows:
-                continue
-            actual = rows.column(spec.name).ctype
-            if (actual is CATEGORICAL) != (spec.ctype is CATEGORICAL):
-                raise TypeError(
-                    f"column {spec.name!r} is {actual.value}, but the pipeline was "
-                    f"fitted on {spec.ctype.value}"
-                )
-        names = [name for name in self._base_names if name in rows]
         # rows already in the fitted layout (what the server decodes) pass as is
-        return rows if rows.column_names == names else rows.select(names)
+        if rows.column_names != self._base_names:
+            missing = [name for name in self._required if name not in rows]
+            if missing:
+                raise KeyError(f"serving rows are missing base columns: {missing}")
+            rows = rows.select([name for name in self._base_names if name in rows])
+        for column in rows.columns():
+            fitted = self._schema.type_of(column.name)
+            if (column.ctype is CATEGORICAL) != (fitted is CATEGORICAL):
+                raise TypeError(
+                    f"column {column.name!r} is {column.ctype.value}, but the pipeline "
+                    f"was fitted on {fitted.value}"
+                )
+        return rows
 
     def transform(
         self,
@@ -403,7 +402,10 @@ class FittedPipeline:
         if self.joins:
             repo = self._resolve_repository(repository)
             specs, prepared = self._kept_joins(repo)
-            owns_executor = isinstance(executor, str)
+            # only soft-key joins (unprepared) run on the executor and draw
+            # from the generator
+            soft = None in prepared
+            owns_executor = soft and isinstance(executor, str)
             pool = make_executor(executor, n_jobs) if owns_executor else executor
             try:
                 joined = replay_kept_joins(
@@ -412,9 +414,8 @@ class FittedPipeline:
                     specs,
                     soft_strategy=self.soft_strategy,
                     time_resample=self.time_resample,
-                    # only soft-key joins (unprepared) draw from the generator
-                    rng=np.random.default_rng(self.seed) if None in prepared else None,
-                    executor=pool,
+                    rng=np.random.default_rng(self.seed) if soft else None,
+                    executor=pool if soft else None,
                     prepared=prepared,
                 )
             finally:
@@ -435,11 +436,12 @@ class FittedPipeline:
     ):
         """Stream :meth:`transform` over micro-batches of ``rows``.
 
-        Yields one design matrix per micro-batch.  Each batch is cut as a
-        zero-copy row view, so only the columns the batch actually touches
-        are materialised — peak memory is bounded by ``batch_rows`` (times
-        the feature width), not by ``len(rows)``, which is what lets a
-        memory-mapped repository table stream through a small resident set.
+        Yields one design matrix per micro-batch.  A batch smaller than its
+        chunk is cut as a zero-copy row view, so only the columns the batch
+        actually touches are materialised — peak memory is bounded by
+        ``batch_rows`` (times the feature width), not by ``len(rows)``, which
+        is what lets a memory-mapped repository table stream through a small
+        resident set.
         The executor pool is created once and shared by every micro-batch
         (a per-batch pool would pay process-pool startup per batch).
 
@@ -461,8 +463,9 @@ class FittedPipeline:
                 for start in range(0, chunk.num_rows, batch_rows):
                     stop = min(start + batch_rows, chunk.num_rows)
                     empty = False
+                    whole = stop - start == chunk.num_rows
                     yield self.transform(
-                        chunk.take(np.arange(start, stop)),
+                        chunk if whole else chunk.take(np.arange(start, stop)),
                         repository=repository,
                         executor=pool,
                         n_jobs=n_jobs,

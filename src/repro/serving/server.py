@@ -84,6 +84,33 @@ def _read_artifact(path: Path) -> tuple[bytes, str]:
     return data, hashlib.blake2b(data, digest_size=16).hexdigest()
 
 
+class _Completion:
+    """Set-once completion flag of one job, waited on by one handler thread.
+
+    A lock the handler holds until the scorer releases it: setting it is one
+    C-level release, where ``threading.Event.set`` runs condition-variable
+    bookkeeping in Python for every scored job, inside the scoring batch.
+    """
+
+    __slots__ = ("_lock",)
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._lock.acquire()
+
+    def set(self) -> None:
+        self._lock.release()
+
+    def is_set(self) -> bool:
+        return not self._lock.locked()
+
+    def wait(self, timeout: float) -> bool:
+        if not self._lock.acquire(timeout=timeout):
+            return False
+        self._lock.release()
+        return True
+
+
 class _Job:
     """One admitted predict request, waiting on a scorer worker."""
 
@@ -91,7 +118,7 @@ class _Job:
 
     def __init__(self, rows: list[dict]):
         self.rows = rows
-        self.event = threading.Event()
+        self.event = _Completion()
         self.predictions: list | None = None
         self.error: tuple[int, str] | None = None  # (http status, message)
         self.generation: int = -1
