@@ -10,6 +10,10 @@ mixed continuous / low-cardinality / one-hot-like columns) this measures:
   100 x 40 matrix, the shape of ARDA's per-batch selection loop on a coreset.
   Here a tree node holds a handful of rows, so per-node dispatch, not data,
   sets the cost; the large-matrix kernels above do not see it.
+* **forest-hist-coreset-regression** — 10 fits of the default regression
+  forest on the same 100 x 40 matrix with its continuous target: the
+  per-node leaf mean and variance, which classification forests do not
+  compute, are part of that dispatch cost.
 * **rifs-exact-serial vs rifs-hist-serial vs rifs-hist-parallel** — the full
   RIFS procedure (injection rounds + ranking ensemble + threshold wrapper):
   the seed configuration (exact kernel, serial rounds) against the binned
@@ -178,8 +182,8 @@ def main() -> int:
     print(f"forest hist speedup: {forest_times['exact'] / forest_times['hist']:.1f}x")
 
     # -- the coreset regime: many fits of a small forest on a small matrix -------
-    X_small, y_small = build_matrix(100, 40, seed=1)
-    y_small = (y_small > np.median(y_small)).astype(np.float64)
+    X_small, y_continuous = build_matrix(100, 40, seed=1)
+    y_small = (y_continuous > np.median(y_continuous)).astype(np.float64)
     coreset_fits = 25
 
     def fit_coreset_forests():
@@ -192,6 +196,20 @@ def main() -> int:
     results.append({"bench": "forest-hist-coreset", "seconds": seconds, "rows": 100,
                     "features": 40, "fits": coreset_fits})
     print(f"{'forest-hist-coreset':<29} {seconds:>8.2f}s  ({coreset_fits} fits, 100 x 40)")
+
+    regression_fits = 10
+
+    def fit_coreset_regression_forests():
+        for seed in range(regression_fits):
+            default_estimator(REGRESSION, random_state=seed, tree_method="hist").fit(
+                X_small, y_continuous
+            )
+
+    seconds, _ = timed(fit_coreset_regression_forests)
+    results.append({"bench": "forest-hist-coreset-regression", "seconds": seconds,
+                    "rows": 100, "features": 40, "fits": regression_fits})
+    print(f"{'forest-hist-coreset-regression':<29} {seconds:>8.2f}s  "
+          f"({regression_fits} fits, 100 x 40)")
 
     # -- binning cost (paid once, shared by every tree and round) ---------------
     seconds, _ = timed(lambda: BinnedMatrix.from_matrix(X))

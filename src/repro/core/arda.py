@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.coreset import make_coreset_builder
 from repro.coreset.base import default_coreset_size
-from repro.core.config import ARDAConfig
+from repro.core.config import AUTOML_SEARCH_OPTIONS, ARDAConfig
 from repro.core.executor import make_executor
 from repro.core.join_execution import (
     join_candidates_detailed,
@@ -616,12 +616,10 @@ class ARDA:
 
     def _make_selection_estimator(self, task: str):
         """The (cheap) estimator used inside feature-selection search loops."""
-        options = dict(self.config.estimator_options)
-        n_estimators = options.get("n_estimators", 20)
         return default_estimator(
             task,
             random_state=self.config.random_state,
-            n_estimators=n_estimators,
+            n_estimators=self.config.estimator_options.get("n_estimators", 20),
             tree_method=self.config.tree_method,
             max_bins=self.config.max_bins,
         )
@@ -643,7 +641,11 @@ class ARDA:
         if self.config.estimator == "automl":
             automl_task = "classification" if task == "classification" else "regression"
             options = {"time_budget": 15.0, "max_trials": 8}
-            options.update(self.config.estimator_options)
+            options.update(
+                (key, value)
+                for key, value in self.config.estimator_options.items()
+                if key in AUTOML_SEARCH_OPTIONS
+            )
             return AutoMLSearch(
                 task=automl_task, random_state=self.config.random_state, **options
             )

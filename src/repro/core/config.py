@@ -4,6 +4,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# the estimator_options keys each estimator accepts: every forest the pipeline
+# trains reads n_estimators (under "automl" the selection and serving
+# forests), and the AutoML search takes its own search knobs
+AUTOML_SEARCH_OPTIONS = ("time_budget", "max_trials", "cv")
+ESTIMATOR_OPTIONS = {
+    "random_forest": ("n_estimators",),
+    "automl": ("n_estimators", *AUTOML_SEARCH_OPTIONS),
+}
+
 
 @dataclass
 class ARDAConfig:
@@ -50,7 +59,11 @@ class ARDAConfig:
     estimator:
         ``"random_forest"`` (default) or ``"automl"`` final estimator.
     estimator_options:
-        Extra keyword arguments for the final estimator (e.g. ``n_estimators``).
+        Options of the estimators the pipeline trains.  ``n_estimators`` sizes
+        every forest (selection, batch and serving forests, and the final
+        estimator under ``"random_forest"``); under ``"automl"`` the
+        ``AutoMLSearch`` knobs ``time_budget``, ``max_trials`` and ``cv`` are
+        accepted too.  Any other key raises ``ValueError``.
     max_categories:
         One-hot encoding cap per categorical column.
     test_size / random_state:
@@ -174,9 +187,15 @@ class ARDAConfig:
         valid_coreset = ("uniform", "stratified", "none")
         if self.coreset_strategy not in valid_coreset:
             raise ValueError(f"coreset_strategy must be one of {valid_coreset}")
-        valid_estimators = ("random_forest", "automl")
-        if self.estimator not in valid_estimators:
-            raise ValueError(f"estimator must be one of {valid_estimators}")
+        if self.estimator not in ESTIMATOR_OPTIONS:
+            raise ValueError(f"estimator must be one of {tuple(ESTIMATOR_OPTIONS)}")
+        accepted = ESTIMATOR_OPTIONS[self.estimator]
+        for key in self.estimator_options:
+            if key not in accepted:
+                raise ValueError(
+                    f"estimator_options key {key!r} is not accepted with "
+                    f"estimator={self.estimator!r} (accepted: {', '.join(accepted)})"
+                )
         if self.lru_tables is not None and self.lru_tables < 1:
             raise ValueError("lru_tables must be None or >= 1")
         if self.chunk_rows is not None and self.chunk_rows < 0:

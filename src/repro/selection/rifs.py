@@ -10,9 +10,13 @@ comparing them against injected random features:
    times with fresh noise, and record for each real feature the fraction of
    rounds in which it out-ranked *every* injected noise feature.
 3. **Algorithm 3 / threshold wrapper** — sweep a set of thresholds ``tau`` in
-   increasing order, keep the features whose fraction is at least ``tau``, and
-   stop as soon as the holdout score stops improving (the previous subset is
-   returned).
+   increasing order and score the features whose fraction is at least ``tau``
+   on a holdout split.  The sweep continues while the score does not fall and
+   stops at the first fall; it returns the first subset that reached the best
+   score, which is not always the subset just before the fall (an equal score
+   later on does not replace it).  Ascending thresholds nest the subsets, so
+   equal subsets are consecutive, and each distinct subset is fitted once:
+   a threshold whose subset equals the previous one's reuses that score.
 
 Execution model: the ``k`` injection rounds are mutually independent, so each
 round draws its randomness from its own spawned child of the selector seed and
@@ -253,15 +257,21 @@ class RIFS(FeatureSelector):
             best_subset: np.ndarray | None = None
             best_score = -np.inf
             previous_score = -np.inf
+            previous_subset: np.ndarray | None = None
             for tau in self.thresholds:
                 subset = np.nonzero(fractions >= tau)[0]
                 if len(subset) < self.min_keep:
                     break
-                score = holdout_score(
-                    X[:, subset], y, task, estimator=estimator,
-                    random_state=self.random_state,
-                    stratify=task == CLASSIFICATION,
-                )
+                # ascending thresholds nest the subsets, so equal ones are
+                # consecutive: the same columns, split and seed fit the same
+                # forest, whose score the previous threshold already holds
+                if previous_subset is None or not np.array_equal(subset, previous_subset):
+                    score = holdout_score(
+                        X[:, subset], y, task, estimator=estimator,
+                        random_state=self.random_state,
+                        stratify=task == CLASSIFICATION,
+                    )
+                previous_subset = subset
                 diagnostics.thresholds_tried.append(tau)
                 diagnostics.threshold_scores.append(score)
                 if score > best_score:
@@ -269,7 +279,8 @@ class RIFS(FeatureSelector):
                     best_subset = subset
                     diagnostics.chosen_threshold = tau
                 if score < previous_score:
-                    # accuracy stopped increasing monotonically: keep previous subset
+                    # the score fell: stop, keeping the first subset that
+                    # reached the best score (ties do not move it)
                     break
                 previous_score = score
             chosen_score = float(best_score)

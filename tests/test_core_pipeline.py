@@ -1,5 +1,6 @@
 """Integration tests for join planning, join execution and the full ARDA pipeline."""
 
+import numpy as np
 import pytest
 
 from repro import ARDA, ARDAConfig
@@ -119,6 +120,20 @@ class TestARDAConfig:
         with pytest.raises(ValueError):
             ARDAConfig(estimator="xgboost")
 
+    def test_forest_option_it_cannot_apply_is_rejected_by_name(self):
+        # the forests are built with max_depth=10 whatever the option says
+        with pytest.raises(ValueError, match="'max_depth'"):
+            ARDAConfig(estimator_options={"max_depth": 1})
+
+    def test_automl_option_it_cannot_apply_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="'max_depth'"):
+            ARDAConfig(estimator="automl", estimator_options={"max_depth": 1})
+
+    def test_n_estimators_sizes_every_forest(self):
+        arda = ARDA(ARDAConfig(estimator_options={"n_estimators": 7}))
+        assert arda._make_selection_estimator("regression").n_estimators == 7
+        assert arda._make_final_estimator("classification").n_estimators == 7
+
 
 class TestARDAPipeline:
     @pytest.fixture(scope="class")
@@ -183,6 +198,24 @@ class TestARDAPipeline:
         )
         report = ARDA(config).augment(small_dataset)
         assert report.augmented_score >= report.base_score - 0.2
+
+    def test_automl_gets_only_its_own_options(self, small_dataset):
+        """``n_estimators`` sizes the forests; the AutoML search gets its own knobs.
+
+        Forwarding ``n_estimators`` to ``AutoMLSearch`` used to raise a
+        ``TypeError`` at final scoring, after discovery, joins and selection.
+        """
+        options = {"n_estimators": 5, "time_budget": 2.0, "max_trials": 2, "cv": 2}
+        config = ARDAConfig(
+            estimator="automl", estimator_options=options, selector_options=FAST_RIFS,
+            capture_pipeline=False, random_state=0,
+        )
+        arda = ARDA(config)
+        search = arda._make_final_estimator("regression")
+        assert (search.time_budget, search.max_trials, search.cv) == (2.0, 2, 2)
+        assert arda._make_selection_estimator("regression").n_estimators == 5
+        report = arda.augment(small_dataset)
+        assert np.isfinite(report.augmented_score)
 
     def test_classification_pipeline(self):
         builder = RelationalDatasetBuilder(

@@ -16,7 +16,9 @@ from repro.selection import (
     inject_noise_features,
     inject_standard_noise,
 )
-from repro.selection.base import default_estimator, holdout_score
+import repro.selection.rifs as rifs_module
+from repro.selection.base import SelectionResult, default_estimator, holdout_score
+from repro.selection.rifs import RIFSDiagnostics
 from repro.selection.injection import feature_moments
 from repro.selection.tuple_ratio import TupleRatioFilter, foreign_key_domain_size, tuple_ratio
 from repro.relational import Table
@@ -165,6 +167,120 @@ class TestRIFS:
         result = selector.select(X, y, task=REGRESSION)
         assert result.method == "random forest+noise"
         assert len(set(result.selected) & {0, 1, 2, 3}) >= 2
+
+
+def reference_select(rifs, X, y, task, estimator=None):
+    """The threshold wrapper as it was written first: one holdout fit per threshold.
+
+    ``RIFS.select`` fits each distinct subset once; this sweep fits every
+    threshold's subset, so equal results show that reusing a repeated
+    subset's score changes nothing.  Returns ``(result, diagnostics)``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    diagnostics = RIFSDiagnostics(rounds=rifs.n_rounds)
+    fractions = rifs.noise_beat_fractions(X, y, task)
+    diagnostics.noise_beat_fraction = fractions
+    best_subset, best_score, previous_score = None, -np.inf, -np.inf
+    for tau in rifs.thresholds:
+        subset = np.nonzero(fractions >= tau)[0]
+        if len(subset) < rifs.min_keep:
+            break
+        score = holdout_score(
+            X[:, subset], y, task, estimator=estimator,
+            random_state=rifs.random_state, stratify=task == CLASSIFICATION,
+        )
+        diagnostics.thresholds_tried.append(tau)
+        diagnostics.threshold_scores.append(score)
+        if score > best_score:
+            best_score, best_subset = score, subset
+            diagnostics.chosen_threshold = tau
+        if score < previous_score:
+            break
+        previous_score = score
+    chosen_score = float(best_score)
+    if best_subset is None or len(best_subset) == 0:
+        best_subset = np.argsort(-fractions, kind="stable")[: max(rifs.min_keep, 1)]
+        diagnostics.chosen_threshold = None
+        chosen_score = None
+    result = SelectionResult(
+        selected=np.sort(best_subset),
+        scores=fractions,
+        details={
+            "chosen_threshold": diagnostics.chosen_threshold,
+            "threshold_scores": dict(
+                zip(diagnostics.thresholds_tried, diagnostics.threshold_scores)
+            ),
+        },
+        holdout_score=chosen_score,
+    )
+    return result, diagnostics
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestThresholdSweepReuse:
+    """Each distinct threshold subset is fitted once, and nothing else changes."""
+
+    @pytest.mark.parametrize("variant", ["RIFS", "single ranker"])
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("n_rounds", [1, 2, 10])
+    def test_matches_a_sweep_that_fits_every_threshold(
+        self, n_rounds, task, variant, regression_matrix, classification_matrix, monkeypatch
+    ):
+        X, y = classification_matrix if task == CLASSIFICATION else regression_matrix
+        estimator = default_estimator(task, random_state=3, n_estimators=5)
+        if variant == "RIFS":
+            selector = rifs = RIFS(n_rounds=n_rounds, random_state=4)
+        else:
+            selector = NoiseInjectionRankingSelector(
+                RandomForestRanker(n_estimators=5), n_rounds=n_rounds, random_state=4
+            )
+            rifs = selector._rifs
+        calls = []
+
+        def counted(X_subset, *args, **kwargs):
+            calls.append(X_subset.copy())
+            return holdout_score(X_subset, *args, **kwargs)
+
+        monkeypatch.setattr(rifs_module, "holdout_score", counted)
+        result = selector.select(X, y, task=task, estimator=estimator)
+        diagnostics = rifs.diagnostics_
+        monkeypatch.undo()
+        expected, expected_diagnostics = reference_select(rifs, X, y, task, estimator)
+
+        assert np.array_equal(result.selected, expected.selected)
+        assert same_bytes(result.scores, expected.scores)
+        assert result.details == expected.details
+        if expected.holdout_score is None:
+            assert result.holdout_score is None
+        else:
+            assert same_bytes(result.holdout_score, expected.holdout_score)
+        assert same_bytes(
+            diagnostics.noise_beat_fraction, expected_diagnostics.noise_beat_fraction
+        )
+        assert diagnostics.thresholds_tried == expected_diagnostics.thresholds_tried
+        assert same_bytes(diagnostics.threshold_scores, expected_diagnostics.threshold_scores)
+        assert diagnostics.chosen_threshold == expected_diagnostics.chosen_threshold
+        assert diagnostics.rounds == expected_diagnostics.rounds
+
+        # one holdout fit per distinct subset, on that subset, in sweep order
+        fractions = expected_diagnostics.noise_beat_fraction
+        distinct = []
+        for tau in expected_diagnostics.thresholds_tried:
+            subset = np.nonzero(fractions >= tau)[0]
+            if not distinct or not np.array_equal(subset, distinct[-1]):
+                distinct.append(subset)
+        assert len(calls) == len(distinct)
+        for X_subset, subset in zip(calls, distinct):
+            assert same_bytes(X_subset, X[:, subset])
+        if n_rounds <= 2:
+            # k <= 2 rounds leave at most k + 1 fraction values: these sweeps
+            # repeat a subset, so the reuse is exercised
+            assert len(distinct) < len(expected_diagnostics.thresholds_tried)
 
 
 class TestTupleRatio:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ml.binning import BinnedMatrix
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from tree_reference import forest_draws, reference_forest_trees
 
 MAX_FEATURES = [None, "all", "sqrt", "log2", 0.3, 1.0, 1, 2, 5]
@@ -115,6 +115,63 @@ def test_trees_seeing_different_class_counts_match_reference(method):
     for tree, expected in zip(forest.estimators_, reference_forest_trees(
             RandomForestClassifier(**options), X, y)):
         assert_same_state(tree, expected)
+
+
+# numpy sums a contiguous float array pairwise: 8 strided accumulators up to
+# 128 elements, halves above that; lengths on both sides of each boundary
+PAIRWISE_LENGTHS = [1, 2, 7, 8, 9, 16, 127, 128, 129, 255, 256, 257, 1000, 2000]
+SPECIAL_TARGETS = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def regression_targets(draw):
+    """Float64 targets of 1-2,000 rows: mixed magnitudes, repeats and specials."""
+    n = draw(st.one_of(st.sampled_from(PAIRWISE_LENGTHS), st.integers(1, 2000)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(min_value=-3, max_value=6))
+    kind = draw(st.sampled_from(["spread", "repeated", "constant", "offset"]))
+    if kind == "spread":
+        y = rng.normal(size=n) * scale
+    elif kind == "repeated":
+        y = rng.choice(rng.normal(size=3) * scale, size=n)
+    elif kind == "constant":
+        y = np.full(n, rng.normal() * scale)
+    else:  # a large mean with small deviations: where summation order shows
+        y = scale + rng.normal(size=n) * 1e-3
+    specials = draw(st.lists(st.sampled_from(SPECIAL_TARGETS), max_size=3))
+    if specials:
+        y[rng.integers(0, n, size=len(specials))] = specials
+    return y
+
+
+# ±inf targets make both sides subtract inf from inf
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(regression_targets())
+def test_regression_node_statistics_equal_numpy_mean_and_var(y):
+    tree = DecisionTreeRegressor()
+    value = tree._node_value(y)
+    assert value.dtype == np.float64
+    assert value.tobytes() == np.array([float(np.mean(y))]).tobytes()
+    impurity = tree._node_impurity(y, value)
+    assert type(impurity) is float
+    assert np.float64(impurity).tobytes() == np.float64(float(np.var(y))).tobytes()
+
+
+@pytest.mark.parametrize("method", ["hist", "exact"])
+def test_regression_forest_past_pairwise_blocks_matches_reference(method):
+    """Nodes of hundreds of rows: leaf means and variances cross numpy's blocks."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(1500, 5))
+    X[:, 1] = rng.integers(0, 12, size=1500)
+    y = 1e6 + 300.0 * X[:, 0] + 50.0 * X[:, 1] + rng.normal(size=1500)
+    options = dict(n_estimators=4, max_depth=4, random_state=9, tree_method=method)
+    forest = RandomForestRegressor(**options).fit(X, y)
+    reference = reference_forest_trees(RandomForestRegressor(**options), X, y)
+    for tree, expected in zip(forest.estimators_, reference):
+        assert_same_state(tree, expected)
+    # nodes of 1,500, ~750 and ~375 rows: numpy's pairwise halving is in play
+    assert all(tree.depth() == 4 for tree in forest.estimators_)
 
 
 def test_forest_step_memory_is_bounded_by_one_root_search():
