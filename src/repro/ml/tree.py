@@ -19,16 +19,29 @@ single tree is a group of one, a forest hands each executor task a contiguous
 group).  Every tree keeps its own RNG and its own pre-order stack of pending
 nodes over *row-index arrays* into the training data, so a bootstrap resample
 is an index draw, not a matrix copy.  Each step pops the next node of every
-unfinished tree, and the histogram kernel scores all of their candidate
-splits with one shared ``bincount`` per statistic.  Feature importances are
-accumulated as impurity decrease weighted by the number of samples reaching
-the node, matching the quantity the paper's Random-Forest ranker consumes.
-Fitted trees always predict on raw float matrices: histogram splits are
-translated back to float thresholds at fit time.
+unfinished tree and works on all of them with shared numpy calls, not per
+node:
+
+* candidate features come from batches each tree draws ahead, with one
+  ``Generator.integers`` call per tree that makes exactly the bounded draws
+  successive ``Generator.choice`` calls would (:func:`_choice_batches`);
+* the histogram kernel scores every candidate split with one ``bincount``
+  per statistic;
+* one ``bincount`` counts the classes of every split node's two children, so
+  a classification child is pushed with its value and purity and only a root
+  computes ``_node_value`` (regression nodes keep their per-node
+  ``np.add.reduce`` statistics).
+
+Feature importances are accumulated as impurity decrease weighted by the
+number of samples reaching the node, matching the quantity the paper's
+Random-Forest ranker consumes.  Fitted trees always predict on raw float
+matrices: histogram splits are translated back to float thresholds at fit
+time.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +60,12 @@ from repro.ml.binning import DEFAULT_MAX_BINS, BinnedMatrix, resolve_tree_method
 # scores every tree's next node together, above it a step needs no more
 # memory than growing one tree
 _STEP_CELLS_FLOOR = 1 << 17
+
+# candidate sets a tree draws ahead with one Generator.integers call
+_DRAW_BATCH = 32
+# largest candidate count drawn in batches: past it, one Generator.choice per
+# node (a C loop) is faster than the batch's per-position numpy calls
+_BATCHED_CANDIDATES_MAX = 24
 
 
 @dataclass
@@ -75,18 +94,50 @@ def _resolve_max_features(option, n_features: int) -> int:
     raise ValueError(f"invalid max_features {option!r}")
 
 
+def _choice_batches(rngs: list, n: int, k: int) -> np.ndarray:
+    """Each generator's next :data:`_DRAW_BATCH` ``choice(n, size=k, replace=False)`` results.
+
+    Returns a ``(len(rngs), _DRAW_BATCH, k)`` array.  For ``0 < k < n``,
+    unless ``n > 10,000`` and ``k > n // 50`` (where ``choice`` tail-shuffles
+    instead), ``choice`` runs Floyd's algorithm: step ``t`` draws uniform on
+    ``[0, n - k + t]`` and keeps its draw unless an earlier step took it, else
+    takes ``n - k + t``.  Then its Fisher-Yates shuffle swaps position ``i``
+    with one drawn uniform on ``[0, i]``, for ``i = k - 1, ..., 1``.  Each
+    draw is the bounded-integer routine ``Generator.integers`` applies per
+    element of an array bound, so one ``integers`` call per generator makes a
+    batch's draws in ``choice``'s order, and the Floyd and swap bookkeeping
+    runs one position at a time across every set of every generator.
+    """
+    batch = _DRAW_BATCH
+    m = n - k
+    highs = np.tile(np.concatenate((np.arange(m, n), np.arange(k - 1, 0, -1))) + 1, batch)
+    draws = np.concatenate([rng.integers(0, highs) for rng in rngs]).reshape(-1, 2 * k - 1)
+    picks = np.empty((len(draws), k), dtype=np.int64)
+    for t in range(k):
+        value = draws[:, t]
+        taken = (picks[:, :t] == value[:, None]).any(axis=1)
+        picks[:, t] = np.where(taken, m + t, value)
+    sets = np.arange(len(draws))
+    for i in range(k - 1, 0, -1):
+        partner = draws[:, 2 * k - 1 - i]
+        held = picks[:, i].copy()
+        picks[:, i] = picks[sets, partner]
+        picks[sets, partner] = held
+    return picks.reshape(len(rngs), batch, k)
+
+
 class _Pending:
     """A popped node that needs a split search, and the split it found."""
 
     __slots__ = ("growth", "index", "rows", "depth", "candidates",
                  "gain", "feature", "threshold", "mask")
 
-    def __init__(self, growth, index, rows, depth, candidates):
+    def __init__(self, growth, index, rows, depth):
         self.growth = growth
         self.index = index
         self.rows = rows
         self.depth = depth
-        self.candidates = candidates
+        self.candidates = None  # set by _draw_candidates
         # the winning split: feature -1 until a search finds one; ``mask``
         # marks the rows it sends left
         self.gain, self.feature, self.threshold, self.mask = 0.0, -1, 0.0, None
@@ -95,58 +146,72 @@ class _Pending:
 class _Growth:
     """One tree's construction state inside a lockstep group.
 
-    The stack holds ``(rows, depth, parent, is_left)`` entries; the left child
-    is pushed last, so popping walks the tree in the pre-order of a recursive
-    builder.  Node numbering, candidate draws and importance sums therefore
-    happen in the same order whatever the other trees of the group do.
+    The stack holds ``(rows, depth, parent, is_left, statistics)`` entries;
+    the left child is pushed last, so popping walks the tree in the pre-order
+    of a recursive builder.  Node numbering, candidate draws and importance
+    sums therefore happen in the same order whatever the other trees of the
+    group do.  ``statistics`` is a classification child's ``(value, pure)``,
+    counted by its parent's step (:func:`_split_searched`), or ``None`` for a
+    root or a regression node, whose statistics are computed when popped.
     """
 
     def __init__(self, tree, y: np.ndarray, rows: np.ndarray, n_features: int):
         self.tree = tree
         self.y = y
-        self.rng = np.random.default_rng(tree.random_state)
         self.nodes: list[_Node] = []
-        self.importances = np.zeros(n_features, dtype=np.float64)
+        # summed as Python floats: the same float64 additions, without a numpy
+        # element update per split
+        self.importances = [0.0] * n_features
         self.n_features = n_features
         self.n_total = len(rows)
-        self.n_candidates = _resolve_max_features(tree.max_features, n_features)
+        self.rng = np.random.default_rng(tree.random_state)
+        k = self.n_candidates = _resolve_max_features(tree.max_features, n_features)
+        # the candidate sets drawn ahead: ``_draw_candidates`` refills an
+        # exhausted iterator with a batch of ``_choice_batches``
+        if k >= n_features:
+            everything = np.arange(n_features)
+            everything.flags.writeable = False
+            self.drawn = itertools.repeat(everything)
+        elif k > _BATCHED_CANDIDATES_MAX:
+            self.drawn = (
+                self.rng.choice(n_features, size=k, replace=False) for _ in itertools.count()
+            )
+        else:
+            self.drawn = iter(())
         # histogram gains of trees with different class counts are never
         # scored on one zero-padded class axis: numpy's pairwise summation
         # groups the terms of a longer axis differently
         self.n_classes = len(getattr(tree, "classes_", ()))
-        self.stack = [(rows, 0, -1, False)]
+        self.stack = [(rows, 0, -1, False, None)]
 
     def next_split(self) -> _Pending | None:
         """Pop nodes until one needs a split search (``None`` once the tree is done).
 
-        Nodes that stop early become leaves on the way; they draw nothing from
-        the RNG.
+        Nodes that stop early become leaves on the way; they use no
+        candidate set.
         """
         tree = self.tree
         while self.stack:
-            rows, depth, parent, is_left = self.stack.pop()
+            rows, depth, parent, is_left, statistics = self.stack.pop()
             index = len(self.nodes)
             if is_left:
                 self.nodes[parent].left = index
             elif parent >= 0:
                 self.nodes[parent].right = index
-            y = self.y[rows]
-            value = tree._node_value(y)
+            if statistics is None:
+                y = self.y[rows]
+                value = tree._node_value(y)
+            else:
+                value, pure = statistics
             self.nodes.append(_Node(-1, 0.0, -1, -1, value))
             if (
                 len(rows) < tree.min_samples_split
                 or (tree.max_depth is not None and depth >= tree.max_depth)
-                or tree._node_impurity(y, value) <= 1e-12
                 or self.n_features == 0  # zero-feature matrices grow one constant leaf
+                or (pure if statistics else tree._node_impurity(y, value) <= 1e-12)
             ):
                 continue
-            if self.n_candidates < self.n_features:
-                candidates = self.rng.choice(
-                    self.n_features, size=self.n_candidates, replace=False
-                )
-            else:
-                candidates = np.arange(self.n_features)
-            return _Pending(self, index, rows, depth, candidates)
+            return _Pending(self, index, rows, depth)
         return None
 
     def search_cells(self, n_rows: int, n_bins: int) -> int:
@@ -161,11 +226,13 @@ class _Growth:
         cuts = min(n_rows, n_bins)
         return self.n_candidates * (n_rows + statistics * (n_bins + 4 * cuts))
 
-    def split(self, pending: _Pending) -> None:
-        """Turn ``pending`` into an internal node unless a child would be too small."""
+    def split(self, pending: _Pending, n_left: int, children=(None, None)) -> None:
+        """Turn ``pending`` into an internal node unless a child would be too small.
+
+        ``children`` holds the left and right child's stack statistics.
+        """
         tree, mask = self.tree, pending.mask
         n = len(pending.rows)
-        n_left = int(np.count_nonzero(mask))
         if n_left < tree.min_samples_leaf or (n - n_left) < tree.min_samples_leaf:
             return
         self.importances[pending.feature] += pending.gain * (n / self.n_total)
@@ -173,17 +240,19 @@ class _Growth:
         node.feature = pending.feature
         node.threshold = pending.threshold
         depth = pending.depth + 1
-        self.stack.append((pending.rows[~mask], depth, pending.index, False))
-        self.stack.append((pending.rows[mask], depth, pending.index, True))
+        left, right = children
+        self.stack.append((pending.rows[~mask], depth, pending.index, False, right))
+        self.stack.append((pending.rows[mask], depth, pending.index, True, left))
 
     def finish(self) -> None:
         """Hand the grown nodes and normalised importances to the tree."""
         tree = self.tree
         tree._nodes = self.nodes
         tree.n_features_ = self.n_features
-        total = self.importances.sum()
+        importances = np.array(self.importances, dtype=np.float64)
+        total = importances.sum()
         if total > 0:
-            tree.feature_importances_ = self.importances / total
+            tree.feature_importances_ = importances / total
         else:
             tree.feature_importances_ = np.zeros(self.n_features, dtype=np.float64)
 
@@ -263,6 +332,18 @@ def _hist_search(pending: list[_Pending], binned: BinnedMatrix) -> None:
         p.mask = goes_left[starts[i]:starts[i + 1]]
 
 
+def _slices(items: list, costs: list[int], budget: int):
+    """Cut ``items`` into consecutive slices costing at most ``budget`` (one item at least)."""
+    start = 0
+    while start < len(items):
+        stop, used = start + 1, costs[start]
+        while stop < len(items) and used + costs[stop] <= budget:
+            used += costs[stop]
+            stop += 1
+        yield items[start:stop]
+        start = stop
+
+
 def _hist_step(pending: list[_Pending], binned: BinnedMatrix, n_bins: int, budget: int) -> None:
     """Search ``pending`` in slices of at most ``budget`` array cells per call."""
     by_classes: dict[int, list[_Pending]] = {}
@@ -270,14 +351,8 @@ def _hist_step(pending: list[_Pending], binned: BinnedMatrix, n_bins: int, budge
         by_classes.setdefault(p.growth.n_classes, []).append(p)
     for group in by_classes.values():
         cells = [p.growth.search_cells(len(p.rows), n_bins) for p in group]
-        start = 0
-        while start < len(group):
-            stop, used = start + 1, cells[start]
-            while stop < len(group) and used + cells[stop] <= budget:
-                used += cells[stop]
-                stop += 1
-            _hist_search(group[start:stop], binned)
-            start = stop
+        for part in _slices(group, cells, budget):
+            _hist_search(part, binned)
 
 
 def _exact_search(p: _Pending, X: np.ndarray) -> None:
@@ -288,6 +363,66 @@ def _exact_search(p: _Pending, X: np.ndarray) -> None:
     if choice >= 0:
         p.feature, p.threshold = int(p.candidates[choice]), splits[choice][1]
         p.mask = X[p.rows, p.feature] <= p.threshold
+
+
+def _draw_candidates(pending: list[_Pending]) -> None:
+    """Give every node of ``pending`` its tree's next candidate set.
+
+    Trees whose drawn sets ran out get their next batch here, from one
+    :func:`_choice_batches` call for all of them.  A batch may hold more sets
+    than its tree will search; no one else reads the tree's generator.
+    """
+    refill = []
+    for p in pending:
+        p.candidates = next(p.growth.drawn, None)
+        if p.candidates is None:
+            refill.append(p)
+    if refill:
+        growth = refill[0].growth
+        batches = _choice_batches(
+            [p.growth.rng for p in refill], growth.n_features, growth.n_candidates
+        )
+        for p, batch in zip(refill, batches):
+            p.growth.drawn = iter(batch)
+            p.candidates = next(p.growth.drawn)
+
+
+def _split_searched(pending: list[_Pending], budget: int) -> None:
+    """Split the nodes of ``pending`` whose search found a split.
+
+    Classification children get their statistics here, not when popped: one
+    ``bincount`` over the split nodes' rows, keyed by (node, side, class),
+    counts every child's classes from the masks either kernel drew.  A child's
+    value is ``counts / n``, the division ``_node_value`` makes, and it is
+    pure when one class holds all its rows, which is exactly when
+    ``1 - sum(value**2) <= 1e-12``: ``n`` rows of two classes or more have a
+    Gini impurity of at least ``2 (n - 1) / n**2``, above ``1e-12`` for any
+    ``n`` below 10^12.  Regression children keep their per-node
+    ``np.add.reduce`` statistics, as a ``bincount`` sum adds in another
+    order.  The nodes are counted in slices of at most ``budget`` rows.
+    """
+    split = [p for p in pending if p.feature >= 0]
+    if split and not split[0].growth.n_classes:
+        for p in split:
+            p.growth.split(p, int(np.count_nonzero(p.mask)))
+        return
+    for part in _slices(split, [len(p.rows) for p in split], budget):
+        n_classes = max(p.growth.n_classes for p in part)
+        keys = np.repeat(np.arange(0, 2 * len(part), 2), [len(p.rows) for p in part])
+        keys += ~np.concatenate([p.mask for p in part])  # the right child is side 1
+        keys *= n_classes
+        keys += np.concatenate([p.growth.y[p.rows] for p in part])
+        counts = np.bincount(keys, minlength=2 * len(part) * n_classes)
+        del keys  # before the children's rows are cut
+        counts = counts.reshape(len(part), 2, n_classes)
+        sizes = counts.sum(axis=2)
+        values = counts / np.maximum(sizes, 1)[:, :, None]
+        pure = (values.max(axis=2) == 1.0).tolist()
+        for p, (left, right), n_left, (left_pure, right_pure) in zip(
+            part, values, sizes[:, 0].tolist(), pure
+        ):
+            own = p.growth.n_classes
+            p.growth.split(p, n_left, ((left[:own], left_pure), (right[:own], right_pure)))
 
 
 def grow_trees(trees: list, X, y: np.ndarray, samples: list) -> None:
@@ -325,14 +460,13 @@ def grow_trees(trees: list, X, y: np.ndarray, samples: list) -> None:
         pending = [p for p in (g.next_split() for g in growths) if p is not None]
         if not pending:
             break
+        _draw_candidates(pending)
         if binned is not None:
             _hist_step(pending, binned, n_bins, budget)
         else:
             for p in pending:
                 _exact_search(p, X)
-        for p in pending:
-            if p.feature >= 0:
-                p.growth.split(p)
+        _split_searched(pending, budget)
     for growth in growths:
         growth.finish()
 
@@ -592,7 +726,6 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
         """
         y_seen = y if sample_indices is None else y[np.asarray(sample_indices)]
         self.classes_ = np.unique(y_seen)
-        self._class_index = {cls: i for i, cls in enumerate(self.classes_)}
         # the narrowest integer type: a lockstep group holds every tree's codes
         codes = np.searchsorted(self.classes_, y)
         return codes.astype(np.min_scalar_type(len(self.classes_)))
@@ -615,7 +748,6 @@ class DecisionTreeClassifier(_BaseDecisionTree, ClassifierMixin):
     def _restore_state(self, doc: dict, arrays: dict[str, np.ndarray]) -> None:
         super()._restore_state(doc, arrays)
         self.classes_ = np.asarray(arrays["classes"], dtype=np.float64)
-        self._class_index = {cls: i for i, cls in enumerate(self.classes_)}
 
     def _node_value(self, codes: np.ndarray) -> np.ndarray:
         counts = np.bincount(codes, minlength=len(self.classes_))

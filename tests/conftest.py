@@ -14,8 +14,9 @@ from repro.relational import Table
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "stress: deep randomized concurrency runs; tier-1 runs a quick "
-        "profile, set ARDA_STRESS=<iterations> for the full sweep",
+        "stress: deep randomized runs (concurrency, streaming ingest, tree "
+        "byte identity); tier-1 runs a quick profile, set "
+        "ARDA_STRESS=<iterations> for the full sweep",
     )
 
 

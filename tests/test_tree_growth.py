@@ -4,20 +4,39 @@
 per tree per step, and scores all of a step's histogram splits in shared
 numpy calls.  The recursive one-node-at-a-time builder it replaced lives in
 ``tests/tree_reference.py``; these tests require the two to agree byte for
-byte on every ``to_state()`` array, and pin the two properties lockstep growth
-must keep on its own: a bounded working set per step and no Python recursion.
+byte on every ``to_state()`` array, and pin what lockstep growth must keep on
+its own: a bounded working set per step, no Python recursion, candidate draws
+equal to ``Generator.choice``'s, and work counted per step, not per node.
+
+The hypothesis suites below are also the deep run of CI's stress step: under
+``-m stress`` with ``ARDA_STRESS`` set they run derandomized, ``ARDA_STRESS /
+100`` times as many examples as tier-1 does.
 """
 
+import os
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ml import tree as tree_module
 from repro.ml.binning import BinnedMatrix
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from tree_reference import forest_draws, reference_forest_trees
+
+
+def deep_settings(examples: int) -> settings:
+    """Tier-1's ``examples``, or a derandomized run scaled by ``ARDA_STRESS / 100``."""
+    stress = int(os.environ.get("ARDA_STRESS", "").strip() or 0)
+    if stress > 0:
+        return settings(
+            max_examples=max(1, examples * stress // 100), deadline=None, derandomize=True
+        )
+    return settings(max_examples=examples, deadline=None)
+
 
 MAX_FEATURES = [None, "all", "sqrt", "log2", 0.3, 1.0, 1, 2, 5]
 
@@ -81,7 +100,8 @@ def check_against_reference(method, data):
     assert_same_state(alone, reference[0])
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.mark.stress
+@deep_settings(150)
 @given(st.data())
 def test_hist_forest_matches_recursive_reference(data):
     check_against_reference("hist", data)
@@ -89,8 +109,9 @@ def test_hist_forest_matches_recursive_reference(data):
 
 # sorting ±inf and NaN features makes the exact kernel's boundary arithmetic
 # warn (inf - inf); both builders run the same per-feature search on them
+@pytest.mark.stress
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=60, deadline=None)
+@deep_settings(60)
 @given(st.data())
 def test_exact_forest_matches_recursive_reference(data):
     check_against_reference("exact", data)
@@ -213,3 +234,210 @@ def test_deep_exact_tree_needs_no_recursion():
     assert tree.depth() == 1499
     assert tree.node_count == 2999
     assert np.array_equal(tree.predict(X), y)
+
+
+# -- candidate draws ---------------------------------------------------------
+
+
+def choice_calls(seed: int, n: int, k: int, count: int) -> list[np.ndarray]:
+    """``count`` successive ``choice(n, size=k, replace=False)`` calls on one generator."""
+    rng = np.random.default_rng(seed)
+    return [rng.choice(n, size=k, replace=False) for _ in range(count)]
+
+
+def growth_draws(seeds: list[int], n: int, k: int, n_steps: int) -> list[list[np.ndarray]]:
+    """The candidate sets trees seeded ``seeds`` search, drawn as lockstep steps draw them.
+
+    Tree ``i`` takes part in every ``i + 1``-th step only, so its refills fall
+    on other steps than its neighbours' and batch with varying company.
+    """
+    growths = [
+        tree_module._Growth(
+            DecisionTreeRegressor(max_features=k, random_state=seed),
+            np.zeros(1), np.zeros(1, dtype=np.int64), n,
+        )
+        for seed in seeds
+    ]
+    drawn = [[] for _ in growths]
+    for step in range(n_steps):
+        pending = [
+            tree_module._Pending(growth, 0, None, 0)
+            for i, growth in enumerate(growths) if step % (i + 1) == 0
+        ]
+        tree_module._draw_candidates(pending)
+        for p in pending:
+            drawn[growths.index(p.growth)].append(p.candidates)
+    return drawn
+
+
+def assert_same_sets(drawn, expected):
+    assert len(drawn) == len(expected)
+    for got, want in zip(drawn, expected):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def choice_shapes(draw):
+    """``(n, k)`` with ``1 <= k < n <= 20,000``; half the draws in the batched range."""
+    n = draw(st.integers(min_value=2, max_value=20_000))
+    batched = min(n - 1, tree_module._BATCHED_CANDIDATES_MAX)
+    k = draw(st.one_of(st.integers(1, batched), st.integers(1, n - 1)))
+    return n, k
+
+
+@pytest.mark.stress
+@deep_settings(200)
+@given(
+    shape=choice_shapes(),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    batch=st.sampled_from([1, 7, 64]),
+    n_steps=st.integers(1, 150),
+)
+def test_candidate_draws_equal_successive_choice_calls(shape, seeds, batch, n_steps):
+    """Every tree searches the sets ``rng.choice`` would return, call after call.
+
+    Trees refill their batches together, in steps, at batch sizes of 1 (a
+    refill every step), 7 and 64; ``n`` and ``k`` reach past numpy's switch to
+    its tail shuffle (``n > 10,000`` and ``k > n // 50``).
+    """
+    n, k = shape
+    default = tree_module._DRAW_BATCH
+    tree_module._DRAW_BATCH = batch
+    try:
+        drawn = growth_draws(seeds, n, k, n_steps)
+    finally:
+        tree_module._DRAW_BATCH = default
+    for i, (seed, sets) in enumerate(zip(seeds, drawn)):
+        assert len(sets) == len(range(0, n_steps, i + 1))
+        assert_same_sets(sets, choice_calls(seed, n, k, len(sets)))
+
+
+# numpy's Generator.choice(n, k, replace=False) tail-shuffles when n > 10,000
+# and k > n // 50, and runs Floyd's algorithm otherwise
+FLOYD_EDGES = [(10_001, 100), (20_000, 400)]
+TAIL_SHUFFLE_EDGES = [(10_001, 201), (20_000, 401)]
+
+
+@pytest.mark.parametrize("n, k", FLOYD_EDGES + TAIL_SHUFFLE_EDGES)
+def test_batched_draws_replay_choice_up_to_its_tail_shuffle(n, k):
+    """A batch replays Floyd's branch exactly, right up to numpy's other branch.
+
+    Past the boundary ``choice`` draws differently, so a batch would not
+    match; trees draw that many candidates with ``choice`` itself.
+    """
+    seeds = (5, 6)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    batches = np.concatenate([tree_module._choice_batches(rngs, n, k) for _ in range(2)], axis=1)
+    for seed, batch in zip(seeds, batches):
+        expected = choice_calls(seed, n, k, len(batch))
+        same = all(got.tobytes() == want.tobytes() for got, want in zip(batch, expected))
+        assert same == ((n, k) in FLOYD_EDGES)
+    for seed, sets in zip(seeds, growth_draws(list(seeds), n, k, 40)):
+        assert_same_sets(sets, choice_calls(seed, n, k, len(sets)))
+
+
+def test_forests_do_not_depend_on_the_draw_batch(monkeypatch):
+    """A forest's bytes are the same whether trees draw 1, 7, 32 or 64 sets at a time."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(400, 40))
+    X[:, :10] = rng.integers(0, 5, size=(400, 10))
+    labels = rng.integers(0, 3, size=400).astype(float)
+    target = X[:, 0] * 3.0 + X[:, 12] + rng.normal(size=400)
+    options = dict(max_depth=None, random_state=2)
+    fits = [
+        lambda: RandomForestClassifier(n_estimators=6, **options).fit(X, labels),
+        lambda: RandomForestRegressor(n_estimators=6, **options).fit(X, target),
+        lambda: RandomForestClassifier(n_estimators=3, tree_method="exact", **options).fit(
+            X, labels),
+    ]
+    expected = [fit() for fit in fits]
+    # deep trees: searches run through several batches of every size tried
+    assert min(tree.node_count for tree in expected[0].estimators_) > 2 * 64
+    for batch in (1, 7, 64):
+        monkeypatch.setattr(tree_module, "_DRAW_BATCH", batch)
+        for fit, forest in zip(fits, expected):
+            for tree, reference in zip(fit().estimators_, forest.estimators_):
+                assert_same_state(tree, reference)
+
+
+# -- work counters -------------------------------------------------------------
+
+
+class CountingGenerator(np.random.Generator):
+    """``default_rng``'s generator, counting ``choice`` calls."""
+
+    choices = 0
+
+    def choice(self, *args, **kwargs):
+        CountingGenerator.choices += 1
+        return super().choice(*args, **kwargs)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts ``_node_value`` calls per tree, and ``Generator.choice`` calls."""
+    calls = Counter()
+    for cls in (DecisionTreeClassifier, DecisionTreeRegressor):
+
+        def node_value(self, y, original=cls._node_value):
+            calls[id(self)] += 1
+            return original(self, y)
+
+        monkeypatch.setattr(cls, "_node_value", node_value)
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed=None: CountingGenerator(np.random.PCG64(seed))
+    )
+    monkeypatch.setattr(CountingGenerator, "choices", 0)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["hist", "exact"])
+@pytest.mark.parametrize(
+    "n_features, max_features",
+    [(30, "sqrt"), (600, tree_module._BATCHED_CANDIDATES_MAX), (40, None)],
+)
+def test_classification_forest_counts_classes_per_step(
+    counted, method, n_features, max_features
+):
+    """One ``_node_value`` call per tree, for its root, and no ``choice`` call.
+
+    Children's class counts come from their parent's step and candidate sets
+    from batched draws.  A fallback to per-node work fails here, where a
+    timing would hide it in noise.
+    """
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(200, n_features))
+    y = rng.integers(0, 3, size=200).astype(float)
+    forest = RandomForestClassifier(
+        n_estimators=8, max_depth=None, max_features=max_features, tree_method=method
+    ).fit(X, y)
+    assert sum(tree.node_count for tree in forest.estimators_) > 8 * 20
+    assert [counted[id(tree)] for tree in forest.estimators_] == [1] * 8
+    assert CountingGenerator.choices == 0
+
+
+@pytest.mark.parametrize("method", ["hist", "exact"])
+def test_regression_forest_counts_statistics_per_node(counted, method):
+    """Regression nodes keep their per-node ``np.add.reduce`` statistics."""
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(200, 30))
+    y = X[:, 0] + rng.normal(size=200)
+    forest = RandomForestRegressor(n_estimators=8, tree_method=method).fit(X, y)
+    assert [counted[id(tree)] for tree in forest.estimators_] == [
+        tree.node_count for tree in forest.estimators_
+    ]
+    assert CountingGenerator.choices == 0
+
+
+def test_more_candidates_than_a_batch_serves_come_from_choice(counted):
+    """Past ``_BATCHED_CANDIDATES_MAX`` every searched node calls ``choice`` once."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(150, 60))
+    y = rng.integers(0, 2, size=150).astype(float)
+    k = tree_module._BATCHED_CANDIDATES_MAX + 1
+    forest = RandomForestClassifier(n_estimators=4, max_features=k).fit(X, y)
+    internal = sum(
+        int((tree.to_state()[1]["feature"] >= 0).sum()) for tree in forest.estimators_
+    )
+    assert CountingGenerator.choices >= internal > 0

@@ -26,7 +26,6 @@ def reference_fit(tree, X, y, sample_indices=None):
     if isinstance(tree, DecisionTreeClassifier):
         y_seen = y if sample_indices is None else y[np.asarray(sample_indices)]
         tree.classes_ = np.unique(y_seen)
-        tree._class_index = {cls: i for i, cls in enumerate(tree.classes_)}
         y = np.searchsorted(tree.classes_, y).astype(np.float64)
     _Builder(tree, X, y, sample_indices).run()
     return tree
