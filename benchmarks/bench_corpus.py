@@ -17,7 +17,12 @@ engine adds:
   ``left_join`` on the fully materialised tables.  Asserts the outputs are
   **value-identical** and that the spill path's peak traced heap stays
   **bounded by the budget** (within a fixed partition-overhead multiple)
-  while the in-memory reference scales with the data.
+  while the in-memory reference scales with the data.  Its keys are unique,
+  so pre-aggregation shrinks no ~budget-sized partition and the base side
+  spills: the non-resident side of the spill join's residency choice.
+* **spill-join-fanout** — the same join and checks over a build side with
+  64 rows per key, whose aggregated partitions all fit the budget: they stay
+  resident, and only the build side spills.
 * **sorted-pruned-join** — ``rechunk(sort_by=key)`` on one corpus table, then
   a selective streaming join driven off the sorted chunks.  Asserts the
   sort-order marker survives in the header and that zone maps prune
@@ -120,6 +125,90 @@ def candidate_fingerprint(candidates) -> list[tuple]:
     ]
 
 
+def run_spill_kernel(
+    bench: str,
+    left: Table,
+    right: Table,
+    budget: int,
+    workdir: Path,
+    repeats: int,
+    failures: list[str],
+) -> dict:
+    """Time a streamed Grace join of ``left`` against ``right`` (both read
+    from disk) under ``budget``, against ``left_join`` in memory.
+
+    Appends to ``failures`` when the output differs from the in-memory join
+    or the spill path's peak traced heap exceeds 8x the budget or is not
+    below the in-memory join's.
+    """
+    left_path = workdir / f"{bench}-left.tbl"
+    right_path = workdir / f"{bench}-right.tbl"
+    chunk_rows = max(left.num_rows // 16, 1)
+    persist.write_table(left, left_path, chunk_rows=chunk_rows)
+    persist.write_table(right, right_path, chunk_rows=chunk_rows)
+
+    mem_s, reference, mem_peak = _timed_peak(
+        lambda: left_join(Table.load(left_path, mmap=False), right, [("key", "rkey")]),
+        repeats,
+    )
+
+    def run_spill_join():
+        # consume the join as a stream — the budget bound is a property of
+        # the iterator, not of materialising the (budget-oblivious) output.
+        # each yielded chunk is checked against the reference rows in place
+        # (array views, no copies) and dropped.
+        stats = StreamJoinStats()
+        offset, ok = 0, True
+        for chunk in iter_grace_left_join(
+            persist.open_chunks(left_path),
+            persist.open_chunks(right_path),
+            [("key", "rkey")],
+            memory_budget=budget,
+            spill_dir=workdir / "spill",
+            stats=stats,
+        ):
+            stop = offset + chunk.num_rows
+            ok = ok and chunk.column_names == reference.column_names
+            for name in chunk.column_names:
+                ok = ok and np.array_equal(
+                    chunk.column(name).values,
+                    reference.column(name).values[offset:stop],
+                    equal_nan=True,
+                )
+            offset = stop
+        return ok and offset == reference.num_rows, stats
+
+    spill_s, (identical, spill_stats), spill_peak = _timed_peak(run_spill_join, repeats)
+    if not identical:
+        failures.append(f"{bench} output differs from the in-memory join")
+    # one partition's build slice (~budget bytes) + the resident aggregated
+    # partitions (<= budget) + one source chunk + the output chunk are live
+    # at once; 8x covers gather scratch and the float64 round-trips of the
+    # probe kernels, while the in-memory reference holds entire tables and
+    # clearly breaks this bound
+    if spill_peak > 8 * budget:
+        failures.append(
+            f"{bench} peak heap {spill_peak / 1e6:.1f} MB exceeds 8x the "
+            f"{budget / 1e6:.1f} MB memory budget (not budget-bounded)"
+        )
+    if spill_peak >= mem_peak:
+        failures.append(
+            f"{bench} peak heap {spill_peak / 1e6:.1f} MB is not below the "
+            f"in-memory join's {mem_peak / 1e6:.1f} MB"
+        )
+    return {
+        "bench": bench,
+        "seconds": spill_s,
+        "rows": left.num_rows,
+        "partitions": spill_stats.spill_partitions,
+        "spill_mb": spill_stats.spill_bytes_written / 1e6,
+        "budget_mb": budget / 1e6,
+        "peak_mb": spill_peak / 1e6,
+        "in_memory_s": mem_s,
+        "in_memory_peak_mb": mem_peak / 1e6,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small sizes for CI smoke runs")
@@ -202,7 +291,7 @@ def main() -> int:
         elif cores < 4:
             print(f"note: {cores} core(s) — the >= 2x sharding speedup gate is skipped")
 
-        # -- build-side spill join vs in-memory join --------------------------
+        # -- build-side spill joins vs in-memory join -------------------------
         spill_rows = min(total_rows // 2, 400_000)
         rng = np.random.default_rng(23)
         spill_left = Table.from_dict(
@@ -221,79 +310,40 @@ def main() -> int:
             },
             name="spill_right",
         )
-        spill_path = workdir / "spill_left_src.tbl"
-        right_path = workdir / "spill_right_src.tbl"
-        spill_chunk_rows = max(spill_rows // 16, 1)
-        persist.write_table(spill_left, spill_path, chunk_rows=spill_chunk_rows)
-        persist.write_table(spill_right, right_path, chunk_rows=spill_chunk_rows)
         # the right side estimates at rows x 8 bytes x 4 columns; a budget of
         # a tenth of that forces ~10 Grace partitions.  Both sides stream from
         # disk — the corpus-scale scenario where neither table fits in memory.
         budget = spill_rows * 8 * 4 // 10
-
-        mem_s, reference, mem_peak = _timed_peak(
-            lambda: left_join(
-                Table.load(spill_path, mmap=False), spill_right, [("key", "rkey")]
-            ),
-            repeats,
-        )
-
-        def run_spill_join():
-            # consume the join as a stream — the budget bound is a property of
-            # the iterator, not of materialising the (budget-oblivious) output.
-            # each yielded chunk is checked against the reference rows in place
-            # (array views, no copies) and dropped.
-            stats = StreamJoinStats()
-            offset, ok = 0, True
-            for chunk in iter_grace_left_join(
-                persist.open_chunks(spill_path),
-                persist.open_chunks(right_path),
-                [("key", "rkey")],
-                memory_budget=budget,
-                spill_dir=workdir / "spill",
-                stats=stats,
-            ):
-                stop = offset + chunk.num_rows
-                ok = ok and chunk.column_names == reference.column_names
-                for name in chunk.column_names:
-                    ok = ok and np.array_equal(
-                        chunk.column(name).values,
-                        reference.column(name).values[offset:stop],
-                        equal_nan=True,
-                    )
-                offset = stop
-            return ok and offset == reference.num_rows, stats
-
-        spill_s, (identical, spill_stats), spill_peak = _timed_peak(run_spill_join, repeats)
         results.append(
-            {
-                "bench": "spill-join",
-                "seconds": spill_s,
-                "rows": spill_rows,
-                "partitions": spill_stats.spill_partitions,
-                "spill_mb": spill_stats.spill_bytes_written / 1e6,
-                "budget_mb": budget / 1e6,
-                "peak_mb": spill_peak / 1e6,
-                "in_memory_s": mem_s,
-                "in_memory_peak_mb": mem_peak / 1e6,
-            }
+            run_spill_kernel(
+                "spill-join", spill_left, spill_right, budget, workdir, repeats, failures
+            )
         )
-        if not identical:
-            failures.append("spill join output differs from the in-memory join")
-        # one partition's build slice (~budget bytes) + one source chunk + the
-        # output chunk are live at once; 8x covers gather scratch and the
-        # float64 round-trips of the probe kernels, while the in-memory
-        # reference holds entire tables and clearly breaks this bound
-        if spill_peak > 8 * budget:
-            failures.append(
-                f"spill-join peak heap {spill_peak / 1e6:.1f} MB exceeds 8x the "
-                f"{budget / 1e6:.1f} MB memory budget (not budget-bounded)"
+
+        # 64 build rows per key: the same raw bytes and partitions, but the
+        # aggregated build is 1/64 of them and every partition stays resident
+        fan_keys = max(spill_rows // 64, 1)
+        fan_left = Table.from_dict(
+            {
+                "key": rng.integers(0, 2 * fan_keys, size=spill_rows).astype(float),
+                "a": rng.normal(size=spill_rows),
+            },
+            name="fan_left",
+        )
+        fan_right = Table.from_dict(
+            {
+                "rkey": rng.integers(0, fan_keys, size=spill_rows).astype(float),
+                "feat_a": rng.normal(size=spill_rows),
+                "feat_b": rng.normal(size=spill_rows),
+                "feat_c": rng.uniform(size=spill_rows),
+            },
+            name="fan_right",
+        )
+        results.append(
+            run_spill_kernel(
+                "spill-join-fanout", fan_left, fan_right, budget, workdir, repeats, failures
             )
-        if spill_peak >= mem_peak:
-            failures.append(
-                f"spill-join peak heap {spill_peak / 1e6:.1f} MB is not below the "
-                f"in-memory join's {mem_peak / 1e6:.1f} MB"
-            )
+        )
 
         # -- sort-ordered zone maps: rechunk + pruned streaming join ----------
         sort_rows = min(total_rows // 2, 400_000)

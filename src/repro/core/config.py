@@ -112,9 +112,12 @@ class ARDAConfig:
         holds at once: chunks of an out-of-core base table are processed in
         waves whose summed (page bytes + projected output) estimate stays
         under the budget, and a build (right) side whose estimated size
-        exceeds the budget runs in Grace spill mode (hash-partitioned to
-        disk, joined partition by partition — identical output, peak heap
-        bounded by one partition).  ``None`` (default) sizes waves at one
+        exceeds the budget runs in Grace spill mode: it is hash-partitioned
+        to disk and each partition is pre-aggregated once; aggregated
+        partitions stay in memory while they fit the budget, and only base
+        rows of the rest spill and join partition by partition (identical
+        output; peak heap one raw partition plus the resident partitions
+        plus one base chunk).  ``None`` (default) sizes waves at one
         chunk per worker and never spills; it then defers to the
         ``ARDA_MEMORY_BUDGET`` environment variable (bytes) when that is
         set.  This bounds the pipeline's working set; it never changes

@@ -26,16 +26,19 @@ concatenated in chunk order, :func:`streaming_left_join` is equivalent to
 join fan out across any :class:`~repro.core.executor.JoinExecutor` backend.
 
 When the *build* side itself exceeds the memory budget the join switches to
-a Grace-style partitioned mode (:func:`grace_left_join`): both sides are
+a hybrid hash join (:func:`grace_left_join`): the build side is
 hash-partitioned on the key values into spill files
-(:func:`~repro.relational.persist.write_table_stream`), each partition pair
-is joined independently with the same kernels, and the per-partition outputs
-are merged back into base-row order — peak heap stays bounded by one
-partition plus one base chunk, and the output is byte-identical to
-``left_join`` (same values, same dictionaries).  Sources whose file is
-sort-ordered on a join key (``sort_by``) prune their candidate chunk range
-with two binary searches over the zone bounds instead of scanning every zone
-entry.
+(:func:`~repro.relational.persist.write_table_stream`) and each partition is
+read back and pre-aggregated once.  Aggregated partitions stay in memory
+while they fit the budget, and every base chunk is probed against them in
+line; only base rows of the partitions past that prefix spill their keys,
+join partition by partition with the same kernels, and merge back into
+base-row order.  Peak heap stays bounded by one raw partition plus the
+resident partitions (at most the budget) plus one base chunk, and the output
+is byte-identical to ``left_join`` (same values, same dictionaries).
+Sources whose file is sort-ordered on a join key (``sort_by``) prune their
+candidate chunk range with two binary searches over the zone bounds instead
+of scanning every zone entry.
 """
 
 from __future__ import annotations
@@ -826,8 +829,8 @@ def iter_streaming_left_join(
     fits ``memory_budget`` bytes, fanned out over ``executor`` (any
     :class:`~repro.core.executor.JoinExecutor`).  A build side whose
     estimated bytes exceed ``memory_budget`` (or an explicit
-    ``spill_partitions``) is never materialised: the join runs in the
-    Grace-partitioned spill mode (:func:`iter_grace_left_join`) instead.
+    ``spill_partitions``) is never materialised raw: the join runs as the
+    hybrid Grace spill join (:func:`iter_grace_left_join`) instead.
     Concatenating the yielded chunks reproduces ``left_join(source.table(),
     right, on)`` row for row; pass ``stats`` to collect pruning accounting.
     """
@@ -1115,15 +1118,11 @@ class _SpillOutputCursor:
 
     def __init__(self, path: Path, rowid: str):
         self._reader = open_chunks(path, mmap=False)
-        self._rowid = rowid
+        self.rowid = rowid
         self._iter = self._reader.iter_chunks()
         self._current: Table | None = None
         self._offset = 0
         self._translate: dict[str, np.ndarray] = {}
-
-    @property
-    def bytes_total(self) -> int:
-        return self._reader.header.pages_nbytes
 
     def translate(self, name: str, index: dict[str, int]) -> np.ndarray:
         """Cached code translation from this file's dictionary to the global
@@ -1142,7 +1141,7 @@ class _SpillOutputCursor:
                 self._offset = 0
                 if self._current is None:
                     return
-            rowids = self._current.column(self._rowid).values
+            rowids = self._current.column(self.rowid).values
             end = int(np.searchsorted(rowids, stop, side="left"))
             if end > self._offset:
                 yield self._current.take(np.arange(self._offset, end))
@@ -1150,6 +1149,31 @@ class _SpillOutputCursor:
             if end < len(rowids):
                 return
             self._current = None
+
+
+def _overlay_spilled(
+    columns: Sequence[Column],
+    cursor: _SpillOutputCursor,
+    start: int,
+    stop: int,
+    indexes: dict[str, dict[str, int]],
+) -> None:
+    """Scatter one spilled partition's outputs for base rows ``[start, stop)``
+    into a chunk's gathered augmented ``columns``, in place.
+
+    The gathered buffers are freshly allocated per chunk, and the resident
+    probe left these rows NULL (their keys live in no resident partition),
+    so each row takes exactly the value its own partition's join produced.
+    """
+    for part in cursor.pull(stop):
+        ids = (part.column(cursor.rowid).values - start).astype(np.int64)
+        for col in columns:
+            spilled = part.column(col.name)
+            if col.ctype is CATEGORICAL:
+                translate = cursor.translate(col.name, indexes[col.name])
+                col.codes[ids] = translate[spilled.codes]
+            else:
+                col.values[ids] = spilled.values
 
 
 def iter_grace_left_join(
@@ -1166,19 +1190,31 @@ def iter_grace_left_join(
     prune: bool = True,
     stats: StreamJoinStats | None = None,
 ) -> Iterator[Table]:
-    """Grace-partitioned LEFT join: build side never materialised in full.
+    """Hybrid hash LEFT join: the raw build side is never materialised in full.
 
-    Both sides are hash-partitioned on their key *values* into spill files
-    (one streaming pass each; the left side spills only its key columns plus
-    a row id, and only for rows that survive zone pruning and have no missing
-    key part).  Each partition pair is then joined independently with the
-    standard :class:`StreamingHashJoin` kernels — a key's rows land in the
-    same partition on both sides, so per-partition pre-aggregation and
-    first-match semantics equal the global ones — and the per-partition
-    outputs are merged back into base order by scattering on the row id.
-    Peak heap is bounded by one partition plus one base chunk; the yielded
-    chunks concatenate to exactly ``left_join(source.table(),
-    right.table(), on)`` — same values, same dictionaries.
+    1. The build side is hash-partitioned on its key *values* into spill
+       files, in one streaming pass.
+    2. Each build partition is read back and pre-aggregated once, with the
+       standard :class:`StreamingHashJoin` preparation: a key's rows all land
+       in one partition, so per-partition pre-aggregation and first-match
+       semantics equal the global ones.  Aggregated partitions stay resident,
+       in partition order, while their summed estimated bytes fit
+       ``memory_budget`` (all of them without a budget); together they form
+       one in-memory build side.
+    3. Only base rows of the partitions that did not stay resident take the
+       Grace path: their key columns plus a row id spill per partition (rows
+       that survive zone pruning and have no missing key part), each such
+       partition pair joins with the standard kernels into an output spill
+       file, and those outputs merge back into base order by row id.
+    4. Each base chunk is read once and probed in line against the resident
+       build side; the spilled partitions' outputs are scattered over it.
+
+    When every aggregated partition fits, the join writes no base-side or
+    output spill file at all.  Peak heap is one raw build partition plus the
+    resident partitions (at most the budget) plus one base chunk.  The
+    yielded chunks concatenate to exactly ``left_join(source.table(),
+    right.table(), on)`` — same values, same dictionaries — for every
+    partition count and budget.
 
     ``num_partitions`` defaults to ``ceil(right bytes / memory_budget)``.
     Spill files live in a fresh temporary directory under ``spill_dir``
@@ -1201,9 +1237,9 @@ def iter_grace_left_join(
         if key not in right_schema:
             raise KeyError(f"right source has no key column {key!r}")
 
-    right_nbytes = estimate_source_nbytes(right_source)
+    budget = memory_budget if memory_budget and memory_budget > 0 else None
     if num_partitions is None:
-        budget = memory_budget if memory_budget and memory_budget > 0 else None
+        right_nbytes = estimate_source_nbytes(right_source)
         num_partitions = -(-right_nbytes // budget) if budget else 1
     num_partitions = int(max(1, min(num_partitions, 512)))
     if stats is None:
@@ -1215,8 +1251,8 @@ def iter_grace_left_join(
     # spill row groups sized so all partition writers' re-batch buffers stay
     # well under the budget together
     row_nbytes = 8 * max(1, len(right_schema.names))
-    if memory_budget and memory_budget > 0:
-        spill_chunk_rows = int(memory_budget // (2 * num_partitions * row_nbytes))
+    if budget:
+        spill_chunk_rows = int(budget // (2 * num_partitions * row_nbytes))
         spill_chunk_rows = max(256, min(DEFAULT_STREAM_CHUNK_ROWS, spill_chunk_rows))
     else:
         spill_chunk_rows = DEFAULT_STREAM_CHUNK_ROWS
@@ -1272,41 +1308,8 @@ def iter_grace_left_join(
             source, lambda: KeyRangePruner(on, left_schema, ranges), prune
         )
 
-        # -- phase 2: partition the left side's keys + row ids ----------------
-        left_key_names = list(dict.fromkeys(left_keys))
-        rowid_name = unique_name(
-            "__grace_rowid__", set(left_schema.names) | set(right_schema.names), "_"
-        )
-        left_spiller = _PartitionSpiller(
-            tmp_dir, "left", num_partitions, spill_chunk_rows
-        )
-        spillers.append(left_spiller)
-        for index in range(source.num_chunks):
-            if pruned[index]:
-                continue
-            start, stop = source.chunk_row_range(index)
-            chunk = source.chunk(index, columns=left_key_names)
-            stats.chunks_probed += 1
-            stats.rows_probed += chunk.num_rows
-            key_cols = [chunk.column(k) for k in left_keys]
-            valid = np.ones(chunk.num_rows, dtype=bool)
-            for col in key_cols:
-                valid &= ~col.missing_mask()
-            if not valid.any():
-                continue
-            ids = _partition_ids(key_cols, num_partitions)
-            rowid_all = np.arange(start, stop, dtype=np.float64)
-            for p in np.unique(ids[valid]):
-                rows = np.nonzero(valid & (ids == p))[0]
-                part = chunk.take(rows)
-                columns = [
-                    Column.from_array(rowid_name, rowid_all[rows], NUMERIC)
-                ] + list(part.columns())
-                left_spiller.push(int(p), Table(columns, name="left-keys"))
-        left_paths = left_spiller.finish()
-        stats.spill_bytes_written += left_spiller.bytes_written
-
-        # -- output naming and dictionaries, from an empty reference build ----
+        # every partition is re-expressed in the right source's dictionaries,
+        # so joins gather the codes and dictionaries ``left_join`` would
         right_dicts = {
             name: right_source.dictionary(name)
             for name in right_schema.names
@@ -1317,132 +1320,148 @@ def iter_grace_left_join(
             for name, dictionary in right_dicts.items()
         }
 
-        def empty_right_table() -> Table:
-            columns = []
-            for name in right_schema.names:
-                if right_schema.type_of(name) is CATEGORICAL:
-                    columns.append(
-                        Column.from_codes(
-                            name, np.empty(0, dtype=np.int32), right_dicts[name]
-                        )
-                    )
-                else:
-                    columns.append(
-                        Column.from_array(
-                            name,
-                            np.empty(0, dtype=np.float64),
-                            right_schema.type_of(name),
-                        )
-                    )
-            return Table(columns, name=right_source.name)
+        def prepared_partition(partition: int) -> Table:
+            """One build partition, read back and pre-aggregated."""
+            stats.spill_bytes_read += right_spiller.headers[partition].pages_nbytes
+            part = _align_to_dictionaries(
+                read_table(right_paths[partition], mmap=False), right_dicts, right_indexes
+            )
+            return _prepare_right(
+                part, right_keys, aggregate_duplicates, numeric_agg, categorical_agg
+            )
 
-        reference = StreamingHashJoin(
-            empty_right_table(),
-            on,
-            left_schema,
-            suffix=suffix,
-            aggregate_duplicates=aggregate_duplicates,
-            numeric_agg=numeric_agg,
-            categorical_agg=categorical_agg,
-        )
-        out_pairs = reference.output
-        output_ctypes = {
-            out_name: right_schema.type_of(right_name)
-            for right_name, out_name in out_pairs
+        def prepared_join(build: Table) -> StreamingHashJoin:
+            # the build is already prepared: aggregated partitions are unique
+            # on their keys, and first-match partitions keep their row order
+            return StreamingHashJoin(
+                build, on, left_schema, suffix=suffix, aggregate_duplicates=False
+            )
+
+        # -- phase 2: aggregate each build partition once; a prefix stays -----
+        # resident while the summed estimates fit the budget, as one build
+        # side whose categorical codes are already in the source dictionaries
+        resident_arrays: dict[str, list[np.ndarray]] = {
+            name: [np.empty(0, dtype=np.int32 if name in right_dicts else np.float64)]
+            for name in right_schema.names
         }
-        output_dicts = {
-            out_name: right_dicts[right_name]
-            for right_name, out_name in out_pairs
-            if output_ctypes[out_name] is CATEGORICAL
-        }
+        resident_nbytes = 0
+        spilled: list[int] = []
+        held: Table | None = None  # the first partition that did not fit
+        for partition, path in enumerate(right_paths):
+            if path is None:
+                continue  # no build rows: its base rows stay all-NULL
+            if spilled:
+                spilled.append(partition)
+                continue
+            build = prepared_partition(partition)
+            nbytes = estimate_source_nbytes(build)
+            if budget is None or resident_nbytes + nbytes <= budget:
+                # reading each column resolves the aggregated keys' row views,
+                # so no raw partition stays alive behind them
+                for name, arrays in resident_arrays.items():
+                    col = build.column(name)
+                    arrays.append(col.codes if name in right_dicts else col.values)
+                resident_nbytes += nbytes
+            else:
+                held = build
+                spilled.append(partition)
+        resident_columns = [
+            Column.from_codes(name, np.concatenate(arrays), right_dicts[name])
+            if name in right_dicts
+            else Column.from_array(
+                name, np.concatenate(arrays), right_schema.type_of(name)
+            )
+            for name, arrays in resident_arrays.items()
+        ]
+        del resident_arrays
+        resident = prepared_join(Table(resident_columns, name=right_source.name))
         output_indexes = {
             out_name: right_indexes[right_name]
-            for right_name, out_name in out_pairs
-            if output_ctypes[out_name] is CATEGORICAL
+            for right_name, out_name in resident.output
+            if right_name in right_indexes
         }
 
-        # -- phase 3: join each partition pair, spilling (rowid, outputs) -----
-        def join_partition(partition: int) -> Path | None:
-            right_path, left_path = right_paths[partition], left_paths[partition]
-            if right_path is None or left_path is None:
-                # nothing to match: those left rows stay all-NULL in the merge
-                return None
-            right_part = _align_to_dictionaries(
-                read_table(right_path, mmap=False), right_dicts, right_indexes
+        # -- phase 3: the spilled partitions' base rows take the Grace path ---
+        cursors: list[_SpillOutputCursor] = []
+        if spilled:
+            rowid_name = unique_name(
+                "__grace_rowid__", set(left_schema.names) | set(right_schema.names), "_"
             )
-            stats.spill_bytes_read += right_spiller.headers[partition].pages_nbytes
-            stats.spill_bytes_read += left_spiller.headers[partition].pages_nbytes
-            joiner = StreamingHashJoin(
-                right_part,
-                on,
-                left_schema,
-                suffix=suffix,
-                aggregate_duplicates=aggregate_duplicates,
-                numeric_agg=numeric_agg,
-                categorical_agg=categorical_agg,
+            is_spilled = np.zeros(num_partitions, dtype=bool)
+            is_spilled[spilled] = True
+            left_key_names = list(dict.fromkeys(left_keys))
+            left_spiller = _PartitionSpiller(
+                tmp_dir, "left", num_partitions, spill_chunk_rows
             )
-            reader = open_chunks(left_path, mmap=False)
+            spillers.append(left_spiller)
+            for index in range(source.num_chunks):
+                if pruned[index]:
+                    continue
+                start, stop = source.chunk_row_range(index)
+                chunk = source.chunk(index, columns=left_key_names)
+                key_cols = [chunk.column(k) for k in left_keys]
+                valid = np.ones(chunk.num_rows, dtype=bool)
+                for col in key_cols:
+                    valid &= ~col.missing_mask()
+                if not valid.any():
+                    continue
+                ids = _partition_ids(key_cols, num_partitions)
+                valid &= is_spilled[ids]
+                rowid_all = np.arange(start, stop, dtype=np.float64)
+                for p in np.unique(ids[valid]):
+                    rows = np.nonzero(valid & (ids == p))[0]
+                    part = chunk.take(rows)
+                    columns = [
+                        Column.from_array(rowid_name, rowid_all[rows], NUMERIC)
+                    ] + list(part.columns())
+                    left_spiller.push(int(p), Table(columns, name="left-keys"))
+            left_paths = left_spiller.finish()
+            stats.spill_bytes_written += left_spiller.bytes_written
 
-            def parts() -> Iterator[Table]:
-                for chunk in reader.iter_chunks():
-                    match_index = joiner.probe_chunk(chunk)
-                    stats.rows_matched += int((match_index >= 0).sum())
-                    gathered = joiner.gather(match_index)
-                    yield Table(
-                        [chunk.column(rowid_name)] + gathered, name="grace-out"
-                    )
+            for partition in spilled:
+                # the first spilled partition was prepared in phase 2 already
+                build, held = held, None
+                left_path = left_paths[partition]
+                if left_path is None:
+                    continue  # no base row to join: never read back
+                if build is None:
+                    build = prepared_partition(partition)
+                stats.spill_bytes_read += left_spiller.headers[partition].pages_nbytes
+                joiner = prepared_join(build)
+                reader = open_chunks(left_path, mmap=False)
 
-            out_path = tmp_dir / f"out-{partition:05d}.tbl"
-            header = write_table_stream(
-                out_path, parts(), chunk_rows=spill_chunk_rows
-            )
-            stats.spill_bytes_written += header.pages_nbytes
-            stats.spill_bytes_read += header.pages_nbytes  # merged back below
-            return out_path
+                def parts() -> Iterator[Table]:
+                    for chunk in reader.iter_chunks():
+                        match_index = joiner.probe_chunk(chunk)
+                        stats.rows_matched += int((match_index >= 0).sum())
+                        gathered = joiner.gather(match_index)
+                        yield Table(
+                            [chunk.column(rowid_name)] + gathered, name="grace-out"
+                        )
 
-        cursors = []
-        for partition in range(num_partitions):
-            out_path = join_partition(partition)
-            if out_path is not None:
+                out_path = tmp_dir / f"out-{partition:05d}.tbl"
+                header = write_table_stream(
+                    out_path, parts(), chunk_rows=spill_chunk_rows
+                )
+                stats.spill_bytes_written += header.pages_nbytes
+                stats.spill_bytes_read += header.pages_nbytes  # merged back below
                 cursors.append(_SpillOutputCursor(out_path, rowid_name))
 
-        # -- phase 4: merge per-partition outputs back into base order --------
+        # -- phase 4: each base chunk once, probed in line, spills overlaid ---
         for index in range(source.num_chunks):
             start, stop = source.chunk_row_range(index)
-            rows = stop - start
             chunk = source.chunk(index)
-            arrays: dict[str, np.ndarray] = {}
-            for _right_name, out_name in out_pairs:
-                if output_ctypes[out_name] is CATEGORICAL:
-                    arrays[out_name] = np.full(rows, -1, dtype=np.int32)
-                else:
-                    arrays[out_name] = np.full(rows, np.nan, dtype=np.float64)
-            for cursor in cursors:
-                for part in cursor.pull(stop):
-                    ids = (part.column(rowid_name).values - start).astype(np.int64)
-                    for _right_name, out_name in out_pairs:
-                        col = part.column(out_name)
-                        if output_ctypes[out_name] is CATEGORICAL:
-                            translate = cursor.translate(
-                                out_name, output_indexes[out_name]
-                            )
-                            arrays[out_name][ids] = translate[col.codes]
-                        else:
-                            arrays[out_name][ids] = col.values
-            out_columns = []
-            for _right_name, out_name in out_pairs:
-                ctype = output_ctypes[out_name]
-                if ctype is CATEGORICAL:
-                    out_columns.append(
-                        Column.from_codes(
-                            out_name, arrays[out_name], output_dicts[out_name]
-                        )
-                    )
-                else:
-                    out_columns.append(
-                        Column.from_array(out_name, arrays[out_name], ctype)
-                    )
-            yield Table(list(chunk.columns()) + out_columns, name=source.name)
+            if pruned[index]:
+                columns = resident.null_columns(stop - start)
+            else:
+                stats.chunks_probed += 1
+                stats.rows_probed += stop - start
+                match_index = resident.probe_chunk(chunk)
+                stats.rows_matched += int((match_index >= 0).sum())
+                columns = resident.gather(match_index)
+                for cursor in cursors:
+                    _overlay_spilled(columns, cursor, start, stop, output_indexes)
+            yield Table(list(chunk.columns()) + columns, name=source.name)
     finally:
         for spiller in spillers:
             spiller.finish(check=False)
@@ -1465,7 +1484,8 @@ def grace_left_join(
     """Materialised :func:`iter_grace_left_join`; returns (table, stats).
 
     Byte-identical to ``left_join(source.table(), right.table(), on)`` for
-    every partition count, including 1.
+    every partition count, including 1, and every ``memory_budget``: the
+    budget only decides which aggregated build partitions stay resident.
     """
     stats = StreamJoinStats()
     parts = list(

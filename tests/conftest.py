@@ -15,8 +15,8 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "stress: deep randomized runs (concurrency, streaming ingest, tree "
-        "byte identity); tier-1 runs a quick profile, set "
-        "ARDA_STRESS=<iterations> for the full sweep",
+        "byte identity, spill-join byte identity); tier-1 runs a quick "
+        "profile, set ARDA_STRESS=<iterations> for the full sweep",
     )
 
 

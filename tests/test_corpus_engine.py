@@ -7,20 +7,35 @@ build-side-spill join advertise:
   is **byte-identical** to the serial per-table path on every executor
   backend — parallelism only changes wall-clock time;
 * the spill join reproduces ``left_join`` **exactly** for every partition
-  count, including forced single partitions, one-row tables and key
-  distributions that leave partitions empty.
+  count and memory budget, including forced single partitions, one-row
+  tables and key distributions that leave partitions empty;
+* the spill join keeps aggregated build partitions resident while they fit
+  the budget, so only the partitions past that prefix spill base rows and
+  outputs (pinned by the spill files it writes and its byte counters).
 """
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.executor import make_executor
 from repro.discovery.discovery import JoinDiscovery
 from repro.discovery.repository import DataRepository
-from repro.relational.join import as_chunk_source, grace_left_join, left_join
+from repro.relational.join import (
+    StreamingHashJoin,
+    StreamJoinStats,
+    as_chunk_source,
+    estimate_source_nbytes,
+    grace_left_join,
+    iter_grace_left_join,
+    left_join,
+)
+from repro.relational.persist import open_chunks
 from repro.relational.schema import CATEGORICAL, NUMERIC
 from repro.relational.table import Table
+from stress import deep_settings
 
 # -- strategies -------------------------------------------------------------
 
@@ -32,6 +47,9 @@ num_entries = st.one_of(st.none(), st.sampled_from([0.0, -1.5, 2.0**40, 3.25]))
 id_entries = st.sampled_from([f"id-{i}" for i in range(12)])
 partition_counts = st.sampled_from([1, 2, 3, 5, 8])
 chunk_targets = st.sampled_from([1, 2, 3, 7])
+# spill-join budgets: no budget keeps every aggregated build partition
+# resident, one byte none of them, and half the aggregated build a prefix
+residencies = st.sampled_from(["all", "prefix", "none"])
 
 
 @st.composite
@@ -218,13 +236,29 @@ class TestShardedDiscoveryDeterminism:
         assert profile_states(sharded) == profile_states(serial)
 
 
-# -- the spill join reproduces left_join for every partition count ----------
+# -- the spill join reproduces left_join for every partition count and budget
+
+
+def residency_budget(residency, left, right, on):
+    """The ``memory_budget`` of a residency: no budget keeps every aggregated
+    build partition resident, one byte none of them, and half the aggregated
+    build's estimate a prefix (which the key distribution may leave empty
+    or whole)."""
+    if residency == "all":
+        return None
+    if residency == "none":
+        return 1
+    aggregated = StreamingHashJoin(right, on, left.schema()).right
+    return max(1, estimate_source_nbytes(aggregated) // 2)
 
 
 class TestGraceSpillEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(join_cases(), chunk_targets, partition_counts)
-    def test_matches_left_join(self, tmp_path_factory, case, chunk_rows, partitions):
+    @pytest.mark.stress
+    @deep_settings(60)
+    @given(join_cases(), chunk_targets, partition_counts, residencies)
+    def test_matches_left_join(
+        self, tmp_path_factory, case, chunk_rows, partitions, residency
+    ):
         left, right, on = case
         reference = left_join(left, right, on)
         spill_dir = tmp_path_factory.mktemp("spill")
@@ -233,6 +267,7 @@ class TestGraceSpillEquivalence:
             right,
             on,
             num_partitions=partitions,
+            memory_budget=residency_budget(residency, left, right, on),
             spill_dir=spill_dir,
         )
         assert_tables_equal(got, reference)
@@ -275,3 +310,95 @@ class TestGraceSpillEquivalence:
             spill_dir=tmp_path,
         )
         assert_tables_equal(got, left_join(left, empty_right, [("k", "rk")]))
+
+
+# -- resident aggregated partitions: only the build side spills -------------
+
+
+def fanout_case():
+    """A base against a fan-out build: 4,000 rows over 100 keys.
+
+    The raw build estimates at 4,000 rows x 3 columns x 8 bytes = 96,000
+    bytes.  Cut into 3 partitions, it aggregates to 40, 30 and 30 keys, so
+    the aggregated partitions estimate at 960, 720 and 720 bytes.
+    """
+    rng = np.random.default_rng(7)
+    n = 4000
+    right = Table.from_dict(
+        {
+            "rk": rng.integers(0, 100, n).astype(float),
+            "v": rng.normal(size=n),
+            "tag": [f"t{i}" for i in rng.integers(0, 9, n)],
+        },
+        types={"rk": NUMERIC, "v": NUMERIC, "tag": CATEGORICAL},
+        name="fanout",
+    )
+    left = Table.from_dict(
+        {"k": rng.integers(0, 120, 3000).astype(float), "x": rng.normal(size=3000)},
+        name="base",
+    )
+    return left, right
+
+
+def run_spill_join(tmp_path, left, right, **options):
+    """Stream the spill join, checking each chunk against ``left_join``.
+
+    Returns the join's stats and the page bytes (everything after the
+    header) of every spill file present when the first chunk comes out, by
+    file name: every spill file is written by then.
+    """
+    on = [("k", "rk")]
+    reference = left_join(left, right, on)
+    stats = StreamJoinStats()
+    joined = iter_grace_left_join(
+        as_chunk_source(left, chunk_rows=500),
+        right,
+        on,
+        spill_dir=tmp_path,
+        stats=stats,
+        **options,
+    )
+    files, offset = None, 0
+    for chunk in joined:
+        if files is None:
+            files = {
+                path.name: path.stat().st_size - open_chunks(path).header.pages_start
+                for path in tmp_path.rglob("*.tbl")
+            }
+        stop = offset + chunk.num_rows
+        assert_tables_equal(chunk, reference.take(np.arange(offset, stop)))
+        offset = stop
+    assert offset == reference.num_rows
+    assert list(tmp_path.iterdir()) == []  # spill files removed
+    return stats, files
+
+
+class TestHybridResidency:
+    @pytest.mark.parametrize(
+        "budget, partitions, resident",
+        [
+            # 96,000 raw bytes need 3 partitions under 40,000 bytes, and the
+            # aggregated build (2,400 bytes) fits: only the build side spills
+            (40_000, None, 3),
+            (None, 3, 3),
+            (2_000, 3, 2),
+            (1_000, 3, 1),
+            (1, 3, 0),
+        ],
+    )
+    def test_only_partitions_past_the_resident_prefix_spill_base_rows(
+        self, tmp_path, budget, partitions, resident
+    ):
+        left, right = fanout_case()
+        stats, files = run_spill_join(
+            tmp_path, left, right, num_partitions=partitions, memory_budget=budget
+        )
+        assert stats.spill_partitions == 3
+        spilled = range(resident, 3)
+        assert sorted(files) == sorted(
+            [f"right-{p:05d}.tbl" for p in range(3)]
+            + [f"{side}-{p:05d}.tbl" for side in ("left", "out") for p in spilled]
+        )
+        assert stats.spill_bytes_written == sum(files.values())
+        assert stats.spill_bytes_read == stats.spill_bytes_written  # each read once
+        assert stats.chunks_probed == stats.chunks_total == 6

@@ -13,7 +13,6 @@ The hypothesis suites below are also the deep run of CI's stress step: under
 100`` times as many examples as tier-1 does.
 """
 
-import os
 import tracemalloc
 from collections import Counter
 
@@ -25,17 +24,8 @@ from repro.ml import tree as tree_module
 from repro.ml.binning import BinnedMatrix
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from stress import deep_settings
 from tree_reference import forest_draws, reference_forest_trees
-
-
-def deep_settings(examples: int) -> settings:
-    """Tier-1's ``examples``, or a derandomized run scaled by ``ARDA_STRESS / 100``."""
-    stress = int(os.environ.get("ARDA_STRESS", "").strip() or 0)
-    if stress > 0:
-        return settings(
-            max_examples=max(1, examples * stress // 100), deadline=None, derandomize=True
-        )
-    return settings(max_examples=examples, deadline=None)
 
 
 MAX_FEATURES = [None, "all", "sqrt", "log2", 0.3, 1.0, 1, 2, 5]
