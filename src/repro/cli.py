@@ -267,7 +267,7 @@ def _cmd_sweep(args) -> int:
 def _zone_coverage(header: TableHeader) -> float | None:
     """Fraction of (chunk, column) zone-map slots carrying a (min, max) range.
 
-    ``None`` for monolithic version-1 files, which have no zone map at all.
+    ``None`` for legacy version-1 files, which have no zone map at all.
     A slot is empty when the chunk holds no valid value for that column, so
     coverage below 1.0 usually just reflects all-missing column stretches.
     """
@@ -293,7 +293,7 @@ def _chunk_zones(header: TableHeader) -> list[dict]:
     One entry per row group: its global row span plus, for every column, the
     ``[min, max]`` zone (value range for float-backed columns, code range for
     categoricals) or ``None`` when the chunk holds no valid value.  Empty for
-    monolithic version-1 files.  This is what the streaming join's pruner
+    legacy version-1 files.  This is what the streaming join's pruner
     consults, so an operator can judge prune-friendliness — a sort-ordered key
     shows disjoint, monotonically increasing ranges.
     """
@@ -319,7 +319,7 @@ def _table_row(name: str, entry, include_zones: bool = False) -> dict:
         "name": name,
         "rows": header.num_rows,
         "columns": len(header.columns),
-        "version": 2 if header.chunks else 1,
+        "version": 1 if header.chunks is None else 2,
         "chunks": header.num_chunks,
         "chunk_rows": header.chunk_rows,
         "sort_by": header.sort_by,
@@ -463,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--profile", default="quick", choices=["quick", "full"])
     sweep.add_argument(
         "--layout", default="monolithic", choices=["monolithic", "chunked", "memory"],
-        help="repository layout scenarios materialise into (scores are identical)",
+        help="repository layout scenarios materialise into: one row group per "
+        "file, row groups of --chunk-rows, or in memory (scores are identical)",
     )
     sweep.add_argument("--chunk-rows", type=int, default=64, help="row-group target for --layout chunked")
     sweep.add_argument("--executor", default="serial", choices=["serial", "thread", "process"])
@@ -501,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     rechunk.add_argument("--all", action="store_true", help="rewrite every table")
     rechunk.add_argument(
         "--chunk-rows", type=int, default=None,
-        help="row-group target (0 = monolithic v1 file; default: "
+        help="row-group target (0 = one row group; default: "
         "ARDA_CHUNK_ROWS or the streaming default)",
     )
     rechunk.add_argument(

@@ -103,10 +103,12 @@ class ARDAConfig:
     chunk_rows:
         Row-group target for table files the pipeline writes (repositories it
         opens via ``repository_dir``, streamed augmented outputs): tables
-        larger than the target are stored chunked with per-chunk zone maps.
-        ``None`` defers to the ``ARDA_CHUNK_ROWS`` environment variable (no
-        chunking when unset); ``0`` forces monolithic files.  Reading is
-        layout-transparent either way.
+        larger than the target are split into row groups of that size, each
+        with its zone map.  ``None`` defers to the ``ARDA_CHUNK_ROWS``
+        environment variable (when unset, a repository writes each table as
+        one row group and a streamed output uses the streaming default);
+        ``0`` writes one row group per file.  Reading is layout-transparent
+        either way.
     memory_budget:
         Soft cap, in bytes, on how much chunk data the streaming join engine
         holds at once: chunks of an out-of-core base table are processed in
@@ -202,7 +204,7 @@ class ARDAConfig:
         if self.lru_tables is not None and self.lru_tables < 1:
             raise ValueError("lru_tables must be None or >= 1")
         if self.chunk_rows is not None and self.chunk_rows < 0:
-            raise ValueError("chunk_rows must be None, 0 (monolithic) or positive")
+            raise ValueError("chunk_rows must be None, 0 (one row group) or positive")
         if self.memory_budget is None:
             env_budget = os.environ.get("ARDA_MEMORY_BUDGET", "").strip()
             if env_budget:
@@ -239,8 +241,8 @@ class SweepConfig:
         ``"full"`` (larger schemas and key domains).
     layout:
         Persisted repository layout scenarios are materialised into:
-        ``"monolithic"`` (version-1 files), ``"chunked"`` (row groups of
-        ``chunk_rows``), or ``"memory"`` (no disk; fastest, used by unit
+        ``"monolithic"`` (each table one row group), ``"chunked"`` (row
+        groups of ``chunk_rows``), or ``"memory"`` (no disk; fastest, used by unit
         tests).  Content fingerprints — and therefore every sweep score —
         are identical across all three.
     chunk_rows:

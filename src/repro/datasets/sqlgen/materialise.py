@@ -211,8 +211,9 @@ def write_scenario_repository(
 ) -> tuple[Table, DataRepository]:
     """Materialise into a disk-backed repository under ``directory``.
 
-    ``chunk_rows`` picks the persisted layout: ``0`` writes monolithic
-    version-1 files, a positive value writes row-group chunked files.
+    ``chunk_rows`` picks the persisted layout: ``0`` writes each table as
+    one row group, a positive value splits tables into row groups of that
+    size.
     Content fingerprints are layout-invariant, so the two layouts carry
     byte-identical logical content.
     """

@@ -711,8 +711,8 @@ class RepositorySnapshot:
         A table file opens as a
         :class:`~repro.relational.persist.ChunkedTableReader` over the pinned
         generation — a table republished (even rechunked) after the snapshot
-        was taken still streams its old bytes, and a monolithic file presents
-        as one implicit chunk.  An in-memory table is its own one-chunk
+        was taken still streams its old bytes, and a legacy version-1 file
+        presents as one zone-less chunk.  An in-memory table is its own one-chunk
         source (:func:`~repro.relational.join.as_chunk_source`).
         """
         self._check_live()
@@ -832,11 +832,12 @@ class DataRepository:
 
         ``chunk_rows`` sets the row-group target for tables staged through
         this repository (:meth:`add` / :meth:`replace`): tables larger than
-        the target are written chunked with zone maps (see
+        the target are split into row groups of that size (see
         :func:`repro.relational.persist.write_table`).  ``None`` defers to
-        the ``ARDA_CHUNK_ROWS`` environment variable (no chunking when that
-        is unset too); ``0`` forces monolithic files.  Reading is always
-        layout-transparent — both formats load and stream identically.
+        the ``ARDA_CHUNK_ROWS`` environment variable (one row group per file
+        when that is unset too); ``0`` writes one row group per file.
+        Reading is always layout-transparent: every layout, legacy
+        version-1 files included, loads and streams identically.
 
         With a ``_manifest.arda`` present the catalog comes from the last
         committed manifest generation (headers of the referenced files are
@@ -1291,11 +1292,12 @@ class DataRepository:
     ) -> int:
         """Rewrite one table's file to a new row-group layout.
 
-        ``chunk_rows`` follows :func:`repro.relational.persist.resolve_chunk_rows`
+        ``chunk_rows`` follows :func:`repro.relational.persist.write_table_stream`
         semantics: an explicit target splits the table into row groups of that
-        size, ``0`` rewrites to a monolithic version-1 file, ``None`` defers
-        to ``ARDA_CHUNK_ROWS`` (falling back to the streaming default).  The
-        rewrite streams chunk-to-chunk (bounded memory), goes through the same
+        size, ``0`` rewrites it as one row group, ``None`` defers to
+        ``ARDA_CHUNK_ROWS`` (falling back to the streaming default).  The
+        rewrite streams chunk-to-chunk (bounded memory, except that one row
+        group holds the whole table), goes through the same
         staged-publish protocol as :meth:`replace` — the new layout is staged
         under a layout-tagged content-addressed name, published as the next
         manifest generation, and the old file garbage-collected once
@@ -1326,7 +1328,7 @@ class DataRepository:
         if resolved is None and chunk_rows != 0:
             resolved = DEFAULT_STREAM_CHUNK_ROWS
         fingerprint = entry.header.fingerprint
-        tag = "m" if chunk_rows == 0 else f"r{resolved}"
+        tag = "m" if resolved is None else f"r{resolved}"
         if sort_by is not None:
             if sort_by not in entry.header.column_names:
                 raise ValueError(
@@ -1353,34 +1355,21 @@ class DataRepository:
             order = np.argsort(values, kind="stable")
             nan_mask = np.isnan(values[order])
             order = np.concatenate([order[~nan_mask], order[nan_mask]])
-            if chunk_rows == 0:
-                sorted_table = reader.take(order).rename(name)
-                meta["sort_by"] = sort_by
-                header = write_table(sorted_table, path, meta=meta, chunk_rows=0)
-            else:
-                starts = range(0, len(order), max(1, resolved)) if len(order) else [0]
-                slices = (
-                    reader.take(order[lo : lo + resolved]) for lo in starts
-                )
-                header = write_table_stream(
-                    path,
-                    slices,
-                    name=name,
-                    chunk_rows=resolved,
-                    meta=meta,
-                    sort_by=sort_by,
-                )
+            step = resolved or max(1, len(order))
+            starts = range(0, len(order), step) if len(order) else [0]
+            slices = (reader.take(order[lo : lo + step]) for lo in starts)
+            header = write_table_stream(
+                path, slices, name=name, chunk_rows=chunk_rows, meta=meta, sort_by=sort_by
+            )
             if header.num_rows != entry.header.num_rows:
                 _unlink_quietly(path)
                 raise TableFormatError(
                     f"sort-rechunk of {name!r} changed the row count "
                     f"({entry.header.num_rows} -> {header.num_rows}); original kept"
                 )
-        elif chunk_rows == 0:
-            header = write_table(reader.table(), path, meta=meta, chunk_rows=0)
         else:
             header = write_table_stream(
-                path, reader.iter_chunks(), name=name, chunk_rows=resolved, meta=meta
+                path, reader.iter_chunks(), name=name, chunk_rows=chunk_rows, meta=meta
             )
         if sort_by is None and header.fingerprint != fingerprint:
             _unlink_quietly(path)

@@ -490,12 +490,16 @@ def concat_columns(columns: Sequence[Column]) -> Column:
         if col.ctype is not first.ctype:
             raise ValueError("cannot concatenate columns of different types")
     if first.ctype is CATEGORICAL:
+        exact = all(col._dict_exact for col in columns)
+        if all(col.dictionary is first.dictionary for col in columns):
+            # chunks of one file or slices of one column: no code moves
+            codes = np.concatenate([col.codes for col in columns])
+            return Column.from_codes(first.name, codes, first.dictionary, dict_exact=exact)
         index: dict[str, int] = {}
         parts = [remap_dictionary(col.dictionary, index)[col.codes] for col in columns]
         merged = np.empty(len(index), dtype=object)
         for text, code in index.items():
             merged[code] = text
-        exact = all(col._dict_exact for col in columns)
         return Column.from_codes(first.name, np.concatenate(parts), merged, dict_exact=exact)
     data = np.concatenate([col.values for col in columns])
     return Column.from_array(first.name, data, first.ctype)

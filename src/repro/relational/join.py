@@ -248,15 +248,14 @@ def left_join(
     on: Sequence[tuple[str, str]],
     suffix: str = "_r",
     aggregate_duplicates: bool = True,
-    numeric_agg: str = "mean",
-    categorical_agg: str = "mode",
 ) -> Table:
     """LEFT-join ``right`` onto ``left`` on the given key pairs.
 
     ``on`` is a sequence of ``(left_column, right_column)`` pairs (composite
     keys are supported by passing more than one pair).  If the right table is
     not unique on its key columns and ``aggregate_duplicates`` is True, it is
-    first pre-aggregated so the join cannot duplicate base-table rows; if
+    first pre-aggregated (numeric columns by their mean, categorical ones by
+    their mode) so the join cannot duplicate base-table rows; if
     ``aggregate_duplicates`` is False the first matching right row wins.
 
     The right key columns themselves are not copied into the output (the left
@@ -270,26 +269,19 @@ def left_join(
         left.schema(),
         suffix=suffix,
         aggregate_duplicates=aggregate_duplicates,
-        numeric_agg=numeric_agg,
-        categorical_agg=categorical_agg,
     )
     return joiner.join_chunk(left)
 
 
 def _prepare_right(
-    right: Table,
-    right_keys: Sequence[str],
-    aggregate_duplicates: bool,
-    numeric_agg: str,
-    categorical_agg: str,
+    right: Table, right_keys: Sequence[str], aggregate_duplicates: bool
 ) -> Table:
-    """Validate and (if needed) pre-aggregate the build side of a LEFT join."""
+    """Validate and (if needed) pre-aggregate the build side of a LEFT join
+    (mean / mode, so every column keeps its type)."""
     for key in right_keys:
         right.column(key)
     if aggregate_duplicates and right.num_rows and not is_unique_on(right, right_keys):
-        right = group_by_aggregate(
-            right, right_keys, numeric_agg=numeric_agg, categorical_agg=categorical_agg
-        )
+        right = group_by_aggregate(right, right_keys)
     return right
 
 
@@ -414,7 +406,7 @@ class _TableChunkSource:
     Lets every streaming consumer treat "a table already in RAM" as a
     single-chunk (or, with ``chunk_rows``, evenly sliced) source with no zone
     maps — in-memory sources are never pruned, matching the semantics of a
-    monolithic version-1 file.
+    legacy version-1 file.
     """
 
     def __init__(self, table: Table, chunk_rows: int | None = None):
@@ -612,7 +604,7 @@ def _pruned_flags(
 ) -> list[bool]:
     """Per-chunk "provably cannot match" flags for one source.
 
-    A source without zone maps (an in-memory table, a monolithic file) is
+    A source without zone maps (an in-memory table, a version-1 file) is
     never pruned, and ``make_pruner`` is only called when there are zones to
     check.  Combines the sorted binary-search window (when the source is
     sort-ordered on a numeric key) with the per-chunk zone checks.
@@ -653,8 +645,6 @@ class StreamingHashJoin:
     left_schema: Schema
     suffix: str = "_r"
     aggregate_duplicates: bool = True
-    numeric_agg: str = "mean"
-    categorical_agg: str = "mode"
     output: list[tuple[str, str]] = field(init=False)
 
     def __post_init__(self):
@@ -666,13 +656,7 @@ class StreamingHashJoin:
         for key in self.left_keys:
             if key not in self.left_schema:
                 raise KeyError(f"left source has no key column {key!r}")
-        self.right = _prepare_right(
-            self.right,
-            self.right_keys,
-            self.aggregate_duplicates,
-            self.numeric_agg,
-            self.categorical_agg,
-        )
+        self.right = _prepare_right(self.right, self.right_keys, self.aggregate_duplicates)
         self.output = _output_names(
             self.right, self.right_keys, self.left_schema.names, self.suffix
         )
@@ -808,8 +792,6 @@ def iter_streaming_left_join(
     on: Sequence[tuple[str, str]],
     suffix: str = "_r",
     aggregate_duplicates: bool = True,
-    numeric_agg: str = "mean",
-    categorical_agg: str = "mode",
     executor=None,
     memory_budget: int | None = None,
     prune: bool = True,
@@ -842,8 +824,6 @@ def iter_streaming_left_join(
             on,
             suffix=suffix,
             aggregate_duplicates=aggregate_duplicates,
-            numeric_agg=numeric_agg,
-            categorical_agg=categorical_agg,
             num_partitions=spill_partitions,
             memory_budget=memory_budget,
             spill_dir=spill_dir,
@@ -859,8 +839,6 @@ def iter_streaming_left_join(
         source.schema(),
         suffix=suffix,
         aggregate_duplicates=aggregate_duplicates,
-        numeric_agg=numeric_agg,
-        categorical_agg=categorical_agg,
     )
     if stats is None:
         stats = StreamJoinStats()
@@ -911,8 +889,6 @@ def streaming_left_join(
     on: Sequence[tuple[str, str]],
     suffix: str = "_r",
     aggregate_duplicates: bool = True,
-    numeric_agg: str = "mean",
-    categorical_agg: str = "mode",
     executor=None,
     memory_budget: int | None = None,
     prune: bool = True,
@@ -939,8 +915,6 @@ def streaming_left_join(
             on,
             suffix=suffix,
             aggregate_duplicates=aggregate_duplicates,
-            numeric_agg=numeric_agg,
-            categorical_agg=categorical_agg,
             executor=executor,
             memory_budget=memory_budget,
             prune=prune,
@@ -1182,8 +1156,6 @@ def iter_grace_left_join(
     on: Sequence[tuple[str, str]],
     suffix: str = "_r",
     aggregate_duplicates: bool = True,
-    numeric_agg: str = "mean",
-    categorical_agg: str = "mode",
     num_partitions: int | None = None,
     memory_budget: int | None = None,
     spill_dir: str | Path | None = None,
@@ -1326,9 +1298,7 @@ def iter_grace_left_join(
             part = _align_to_dictionaries(
                 read_table(right_paths[partition], mmap=False), right_dicts, right_indexes
             )
-            return _prepare_right(
-                part, right_keys, aggregate_duplicates, numeric_agg, categorical_agg
-            )
+            return _prepare_right(part, right_keys, aggregate_duplicates)
 
         def prepared_join(build: Table) -> StreamingHashJoin:
             # the build is already prepared: aggregated partitions are unique
@@ -1474,8 +1444,6 @@ def grace_left_join(
     on: Sequence[tuple[str, str]],
     suffix: str = "_r",
     aggregate_duplicates: bool = True,
-    numeric_agg: str = "mean",
-    categorical_agg: str = "mode",
     num_partitions: int | None = None,
     memory_budget: int | None = None,
     spill_dir: str | Path | None = None,
@@ -1495,8 +1463,6 @@ def grace_left_join(
             on,
             suffix=suffix,
             aggregate_duplicates=aggregate_duplicates,
-            numeric_agg=numeric_agg,
-            categorical_agg=categorical_agg,
             num_partitions=num_partitions,
             memory_budget=memory_budget,
             spill_dir=spill_dir,

@@ -1,13 +1,14 @@
 """Native binary columnar table format with memory-mapped lazy loading.
 
-A ``.tbl`` file is a versioned header followed by 64-byte-aligned per-column
-pages:
+A ``.tbl`` file is a versioned header followed by 64-byte-aligned pages, one
+per column and row group:
 
 * numeric / datetime / boolean columns store their ``float64`` backing array
-  verbatim in one **data page**,
-* categorical columns store their ``int32`` dictionary codes in a **codes
-  page** plus a compact **dictionary page** (an ``int64`` offsets array and the
-  concatenated UTF-8 bytes of the distinct strings, in dictionary order).
+  verbatim in one **data page** per row group,
+* categorical columns store their ``int32`` dictionary codes in one **codes
+  page** per row group plus one compact file-level **dictionary page** (an
+  ``int64`` offsets array and the concatenated UTF-8 bytes of the distinct
+  strings, in dictionary order).
 
 The header is a small JSON document (schema, row count, page extents and a
 content fingerprint) so catalogs can be built from headers alone.  Reading a
@@ -19,25 +20,27 @@ and are published with ``os.replace``, so an already-mapped reader keeps
 seeing the old bytes (the old inode survives until its last mapping is
 dropped) while new readers see the new table.
 
-**Row-group chunking (format version 2).**  When :func:`write_table` is given
-a ``chunk_rows`` target (explicitly, or through the ``ARDA_CHUNK_ROWS``
-environment variable) and the table spans more than one chunk, the file is
-written as N row groups.  Dictionary pages stay file-level (one shared
-dictionary per categorical column), while each chunk gets its own aligned
-data/codes pages laid out chunk-major for sequential streaming.  The header
-gains a **zone map**: per chunk, its row count, page extents, per-column
-min/max (value range for float-backed columns, code range for categoricals —
-valid because the dictionary is file-wide) and a per-chunk content
-fingerprint.  :func:`open_chunks` returns a :class:`ChunkedTableReader` that
-yields one chunk at a time without ever materialising the whole table;
-streaming consumers (the pruned streaming join, chunked profiling, chunked
-binning) are built on it.  A table whose rows fit one chunk is always written
-as a version-1 monolithic file, byte-identical to the pre-chunking format,
-and a version-1 file reads back through :class:`ChunkedTableReader` as one
-implicit chunk — the two formats are interchangeable to every consumer.  The
-whole-table fingerprint of a chunked file equals the fingerprint the same
-table would get monolithically, so profile caches, manifests and serving
-artifacts validate identically against either layout.
+**Row groups (format version 2).**  Every file is written as one or more
+row groups ("chunks") by one writer: :func:`write_table` slices an in-memory
+table to the ``chunk_rows`` target (explicitly, or through the
+``ARDA_CHUNK_ROWS`` environment variable; a table that fits the target, or
+any table when no target is set, is one row group), and
+:func:`write_table_stream` re-batches an iterator of chunks.  Dictionary
+pages stay file-level (one shared dictionary per categorical column), while
+each chunk gets its own aligned data/codes pages laid out chunk-major for
+sequential streaming.  The header carries a **zone map**: per chunk, its row
+count, page extents, per-column min/max (value range for float-backed
+columns, code range for categoricals — valid because the dictionary is
+file-wide) and a per-chunk content fingerprint.  :class:`ChunkedTableReader`
+is the one reader: :func:`read_table` is its whole-table read (a one-chunk
+file's columns are page views, so an mmap load stays lazy), and
+:func:`open_chunks` yields one chunk at a time without ever materialising
+the whole table; streaming consumers (the pruned streaming join, chunked
+profiling, chunked binning) are built on it.  Legacy version-1 files, which
+stored each column as one page without a zone map, read back as one
+zone-less chunk.  The whole-table fingerprint depends on content, not on the
+row-group layout, so profile caches, manifests and serving artifacts
+validate identically against any layout.
 
 Every byte explicitly read by this module is counted in a process-wide
 counter (:func:`bytes_read` / :func:`reset_bytes_read`); memory-mapped pages
@@ -46,7 +49,7 @@ what lets ``bench_persistence.py`` verify that opening a repository reads only
 headers.  :func:`bytes_read_detail` splits the same total by what was read —
 ``header``, ``zone_map`` (the chunk section of a version-2 header),
 ``dictionary``, ``pages`` and ``manifest`` — so the cold-open assertion stays
-meaningful for chunked files.
+meaningful at high chunk counts.
 
 Besides single tables, the module defines the **repository manifest**: a
 small versioned catalog file (:class:`RepositoryManifest`, published with
@@ -59,13 +62,15 @@ concurrent reads and writes — see that module for the protocol.
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -135,10 +140,11 @@ def _align(offset: int) -> int:
 def resolve_chunk_rows(chunk_rows: int | None = None) -> int | None:
     """Resolve a row-group target: explicit argument, else ``ARDA_CHUNK_ROWS``.
 
-    Returns ``None`` for monolithic writes.  An explicit ``0`` forces
-    monolithic regardless of the environment (used by ``rechunk`` to collapse
-    a chunked file); the environment variable is the fleet-wide override that
-    lets CI run the whole test suite with small forced chunks.
+    Returns ``None`` for "no target": the table is written as one row group.
+    An explicit ``0`` means one row group regardless of the environment (used
+    by ``rechunk`` to collapse a chunked file); the environment variable is
+    the fleet-wide override that lets CI run the whole test suite with small
+    forced chunks.
     """
     if chunk_rows is not None:
         value = int(chunk_rows)
@@ -196,9 +202,9 @@ class PageRef:
 class ColumnMeta:
     """Header entry for one column: its type and where its pages live.
 
-    In a version-2 (chunked) file the per-row pages live in the chunk entries
-    instead, so ``data``/``codes`` are ``None`` here and only the file-level
-    ``dictionary`` page remains.
+    The per-row pages live in the chunk entries, so ``data``/``codes`` are
+    ``None`` here and only the file-level ``dictionary`` page remains; a
+    legacy version-1 file sets them instead of a zone map.
     """
 
     name: str
@@ -212,7 +218,7 @@ class ColumnMeta:
 
 @dataclass
 class ChunkMeta:
-    """Zone-map entry for one row group of a version-2 file.
+    """Zone-map entry for one row group.
 
     ``pages`` and ``zones`` are aligned with the header's column order.  A
     zone is ``(min, max)`` over the chunk's valid values — the value range for
@@ -247,8 +253,8 @@ class TableHeader:
     # free-form writer-supplied metadata (e.g. ingestion provenance); not part
     # of the content fingerprint
     meta: dict | None = None
-    # version-2 chunked layout: the row-group zone map and the target the
-    # writer aimed for; None for monolithic version-1 files
+    # the row-group zone map (None only for a legacy version-1 file) and the
+    # target the writer aimed for (None: the table was written as one group)
     chunks: list[ChunkMeta] | None = None
     chunk_rows: int | None = None
 
@@ -258,7 +264,7 @@ class TableHeader:
 
     @property
     def num_chunks(self) -> int:
-        """Row groups in the file (1 for a monolithic version-1 file)."""
+        """Row groups in the file (1 for a legacy version-1 file)."""
         return len(self.chunks) if self.chunks else 1
 
     @property
@@ -309,8 +315,8 @@ def table_fingerprint(table: Table) -> str:
 
     Hashes the schema plus every column's canonical page bytes, so two tables
     fingerprint equal iff they would serialise to identical pages (dictionary
-    order included).  The fingerprint is independent of the chunk layout: a
-    chunked file stores the same value a monolithic write would.  Used to key
+    order included).  The fingerprint is independent of the row-group layout:
+    a file stores the same value whatever its chunk count.  Used to key
     persisted column profiles.
     """
     hasher = blake2b(digest_size=16)
@@ -341,200 +347,254 @@ def write_table(
     provenance); it does not affect the content fingerprint.
 
     ``chunk_rows`` selects the row-group target (``None`` defers to the
-    ``ARDA_CHUNK_ROWS`` environment variable, ``0`` forces monolithic).  A
-    table that fits one chunk is always written monolithically (format
-    version 1, byte-identical to the pre-chunking format); larger tables are
-    written chunked (format version 2) with a zone map in the header.
+    ``ARDA_CHUNK_ROWS`` environment variable, ``0`` means one row group
+    whatever the row count).  A table that fits the target is written as one
+    row group, a larger one as row groups of ``chunk_rows`` rows; either way
+    the file is version 2, with a zone map, and stores each categorical
+    column's ``dictionary_is_exact`` flag.
     """
-    path = Path(path)
-    resolved = resolve_chunk_rows(chunk_rows)
-    if resolved is not None and table.num_rows > resolved:
-        return _write_table_chunked(table, path, resolved, meta)
-
-    hasher = blake2b(digest_size=16)
-    pages: list[bytes] = []
-    columns_meta: list[ColumnMeta] = []
-    rel = 0
-
-    def add_page(payload: bytes) -> PageRef:
-        nonlocal rel
-        ref = PageRef(offset=rel, nbytes=len(payload))
-        pages.append(payload)
-        rel += len(payload)
-        pad = _align(rel) - rel
-        if pad:
-            pages.append(b"\x00" * pad)
-            rel += pad
-        return ref
-
-    for column in table.columns():
-        hasher.update(column.name.encode("utf-8"))
-        hasher.update(column.ctype.value.encode("ascii"))
-        col_meta = ColumnMeta(name=column.name, ctype=column.ctype)
-        for kind, payload in _column_payloads(column):
-            hasher.update(payload)
-            ref = add_page(payload)
-            if kind == "data":
-                col_meta.data = ref
-            elif kind == "codes":
-                col_meta.codes = ref
-            else:
-                col_meta.dictionary = ref
-                col_meta.dict_count = len(column.dictionary)
-                col_meta.dict_exact = column.dictionary_is_exact
-        columns_meta.append(col_meta)
-
-    fingerprint = hasher.hexdigest()
-    header_doc = {
-        "name": table.name,
-        "num_rows": table.num_rows,
-        "fingerprint": fingerprint,
-        "columns": [_meta_to_doc(col_meta) for col_meta in columns_meta],
-    }
-    if meta:
-        header_doc["meta"] = meta
-    header_bytes = json.dumps(header_doc, separators=(",", ":")).encode("utf-8")
-    pages_start = _align(_PREFIX_LEN + len(header_bytes))
-
-    def write_to(handle):
-        handle.write(MAGIC)
-        handle.write(FORMAT_VERSION.to_bytes(4, "little"))
-        handle.write(len(header_bytes).to_bytes(4, "little"))
-        handle.write(header_bytes)
-        handle.write(b"\x00" * (pages_start - _PREFIX_LEN - len(header_bytes)))
-        for payload in pages:
-            handle.write(payload)
-
-    atomic_replace(path, write_to)
-    return TableHeader(
-        name=table.name,
-        num_rows=table.num_rows,
-        fingerprint=fingerprint,
-        columns=columns_meta,
-        pages_start=pages_start,
-        pages_nbytes=rel,
-        meta=meta,
-    )
+    target = resolve_chunk_rows(chunk_rows)
+    num_rows = table.num_rows
+    if target is None or num_rows <= target:
+        parts: Iterable[Table] = [table]
+    else:
+        parts = (
+            table.take(np.arange(start, min(start + target, num_rows)))
+            for start in range(0, num_rows, target)
+        )
+    # the table is in memory already, so its pages are staged in memory too
+    return _write_row_groups(Path(path), table.name, table, parts, io.BytesIO(), target, meta)
 
 
-def _column_zone(column: Column, codes_or_data: np.ndarray) -> tuple[float, float] | None:
+def _column_zone(ctype: ColumnType, page: np.ndarray) -> tuple[float, float] | None:
     """Min/max of one chunk's valid values, or ``None`` if all missing."""
-    if column.ctype is CATEGORICAL:
-        valid = codes_or_data[codes_or_data >= 0]
-        if not len(valid):
-            return None
-        return float(valid.min()), float(valid.max())
-    valid = codes_or_data[~np.isnan(codes_or_data)]
+    valid = page[page >= 0] if ctype is CATEGORICAL else page[~np.isnan(page)]
     if not len(valid):
         return None
     return float(valid.min()), float(valid.max())
 
 
-def _write_table_chunked(
-    table: Table, path: Path, chunk_rows: int, meta: dict | None
-) -> TableHeader:
-    """Write an in-memory table as a version-2 chunked file."""
-    num_rows = table.num_rows
-    columns = list(table.columns())
-    # one contiguous backing array per column; chunk pages are slices of it
-    backings: list[np.ndarray] = []
-    dict_payloads: list[bytes | None] = []
-    hasher = blake2b(digest_size=16)
-    for column in columns:
-        hasher.update(column.name.encode("utf-8"))
-        hasher.update(column.ctype.value.encode("ascii"))
+@dataclass
+class _ColumnPages:
+    """One column's file-level state while its row groups are laid out.
+
+    A categorical column adopts the first row group's dictionary.  A row
+    group sharing that dictionary object keeps its codes; only one with
+    another dictionary is remapped, and its unseen entries extend the file
+    dictionary in the order they are met.
+    """
+
+    name: str
+    ctype: ColumnType
+    dictionary: np.ndarray | None = None
+    exact: bool = False
+    index: dict[str, int] | None = None
+
+    @classmethod
+    def of(cls, column: Column) -> "_ColumnPages":
         if column.ctype is CATEGORICAL:
-            backing = np.ascontiguousarray(column.codes, dtype="<i4")
-            dict_payload = _encode_dictionary(column.dictionary)
-            hasher.update(backing.tobytes())
-            hasher.update(dict_payload)
-            dict_payloads.append(dict_payload)
-        else:
-            backing = np.ascontiguousarray(column.values, dtype="<f8")
-            hasher.update(backing.tobytes())
-            dict_payloads.append(None)
-        backings.append(backing)
-    fingerprint = hasher.hexdigest()
+            return cls(column.name, column.ctype, column.dictionary, column.dictionary_is_exact)
+        return cls(column.name, column.ctype)
 
-    pages: list[bytes] = []
-    columns_meta: list[ColumnMeta] = []
-    rel = 0
+    def page(self, column: Column) -> np.ndarray:
+        """One row group's page of this column, contiguous little-endian."""
+        if column.ctype is not self.ctype:
+            raise ValueError(
+                f"column {self.name!r} changed type across chunks "
+                f"({self.ctype.value} vs {column.ctype.value})"
+            )
+        if self.ctype is not CATEGORICAL:
+            return np.ascontiguousarray(column.values, dtype="<f8")
+        codes = column.codes
+        if column.dictionary is not self.dictionary:
+            if self.index is None:
+                self.index = {text: code for code, text in enumerate(self.dictionary)}
+            codes = remap_dictionary(column.dictionary, self.index)[codes]
+        return np.ascontiguousarray(codes, dtype="<i4")
 
-    def add_page(payload: bytes) -> PageRef:
-        nonlocal rel
-        ref = PageRef(offset=rel, nbytes=len(payload))
-        pages.append(payload)
-        rel += len(payload)
-        pad = _align(rel) - rel
-        if pad:
-            pages.append(b"\x00" * pad)
-            rel += pad
-        return ref
+    def file_dictionary(self) -> tuple[np.ndarray, bool]:
+        """The file-level dictionary and its exactness flag.  An exact first
+        dictionary stays exact while no later row group adds an entry."""
+        if self.index is None or len(self.index) == len(self.dictionary):
+            return self.dictionary, self.exact
+        merged = np.empty(len(self.index), dtype=object)
+        for text, code in self.index.items():
+            merged[code] = text
+        return merged, False
 
-    # file-level dictionary pages first, then chunk pages laid out chunk-major
-    for column, dict_payload in zip(columns, dict_payloads):
-        col_meta = ColumnMeta(name=column.name, ctype=column.ctype)
-        if dict_payload is not None:
-            col_meta.dictionary = add_page(dict_payload)
-            col_meta.dict_count = len(column.dictionary)
-            col_meta.dict_exact = column.dictionary_is_exact
-        columns_meta.append(col_meta)
 
-    chunks_meta: list[ChunkMeta] = []
-    for start in range(0, num_rows, chunk_rows):
-        stop = min(start + chunk_rows, num_rows)
-        chunk_pages: list[PageRef] = []
-        chunk_zones: list[tuple[float, float] | None] = []
+def _write_page(handle, payload) -> int:
+    """Write one page plus its zero padding; returns the aligned length."""
+    nbytes = memoryview(payload).nbytes
+    handle.write(payload)
+    pad = _align(nbytes) - nbytes
+    if pad:
+        handle.write(b"\x00" * pad)
+    return nbytes + pad
+
+
+def _staged_blocks(pages, offset: int, nbytes: int, path: Path) -> Iterator[bytes]:
+    """Read ``nbytes`` staged bytes back from ``offset`` in bounded blocks."""
+    pages.seek(offset)
+    while nbytes:
+        block = pages.read(min(nbytes, _COPY_BLOCK))
+        if not block:
+            raise TableFormatError(f"{path}: truncated spill file")
+        yield block
+        nbytes -= len(block)
+
+
+def _check_sorted_zones(
+    path: Path, sort_by: str, names: list[str], chunks_meta: list[ChunkMeta]
+) -> None:
+    """Validate the sort-order claim of a streamed write.
+
+    The ``sort_by`` column's chunk zones must be monotonically non-decreasing
+    (``prev.max <= next.min``) with all-missing (``None``) zones only in a
+    trailing run — exactly the property the reader's binary-search pruning
+    relies on.  A sorted stream satisfies this by construction for numeric
+    columns (NaNs ordered last) and for categoricals too, because the shared
+    file-level dictionary assigns codes in first-appearance order, which under
+    a sorted stream is ascending value order.
+    """
+    pos = names.index(sort_by)
+    prev_max: float | None = None
+    seen_none = False
+    for index, chunk in enumerate(chunks_meta):
+        zone = chunk.zones[pos]
+        if zone is None:
+            seen_none = True
+            continue
+        if seen_none:
+            raise ValueError(
+                f"{path}: sort_by={sort_by!r} violated — chunk {index} has "
+                f"values after an all-missing chunk (missing must sort last)"
+            )
+        lo, hi = zone
+        if prev_max is not None and lo < prev_max:
+            raise ValueError(
+                f"{path}: sort_by={sort_by!r} violated — chunk {index} starts "
+                f"at {lo} below previous chunk max {prev_max}"
+            )
+        prev_max = hi
+
+
+def _write_row_groups(
+    path: Path,
+    name: str,
+    template: Table,
+    parts: Iterable[Table],
+    pages,
+    chunk_rows: int | None,
+    meta: dict | None,
+    sort_by: str | None = None,
+) -> TableHeader:
+    """Lay out ``parts`` as the row groups of one version-2 file and publish it.
+
+    The one writer behind :func:`write_table` and :func:`write_table_stream`.
+    ``template`` fixes the column order and types and seeds each categorical
+    column's file dictionary (see :class:`_ColumnPages`).  Each part's pages
+    are staged in the binary file object ``pages`` as the part arrives, with
+    its zone map and chunk fingerprint.  The whole-table fingerprint is then
+    hashed column-major over the staged pages, so it equals
+    :func:`table_fingerprint` of the concatenated table whatever the layout,
+    and the header, the file-level dictionary pages and the staged chunk
+    pages are published atomically.  ``chunk_rows`` is the target recorded
+    in the header (``None``: one row group).
+    """
+    columns = [_ColumnPages.of(column) for column in template.columns()]
+    chunks: list[ChunkMeta] = []
+    num_rows = 0
+    staged = 0
+    for part in parts:
+        refs: list[PageRef] = []
+        zones: list[tuple[float, float] | None] = []
         chunk_hasher = blake2b(digest_size=16)
-        for column, backing in zip(columns, backings):
-            payload = np.ascontiguousarray(backing[start:stop]).tobytes()
-            chunk_hasher.update(payload)
-            chunk_pages.append(add_page(payload))
-            chunk_zones.append(_column_zone(column, backing[start:stop]))
-        chunks_meta.append(
+        for state in columns:
+            page = state.page(part.column(state.name))
+            chunk_hasher.update(page)
+            refs.append(PageRef(offset=staged, nbytes=page.nbytes))
+            staged += _write_page(pages, page)
+            zones.append(_column_zone(state.ctype, page))
+        chunks.append(
             ChunkMeta(
-                rows=stop - start,
-                pages=chunk_pages,
-                zones=chunk_zones,
+                rows=part.num_rows,
+                pages=refs,
+                zones=zones,
                 fingerprint=chunk_hasher.hexdigest(),
-                row_start=start,
+                row_start=num_rows,
             )
         )
+        num_rows += part.num_rows
+    if sort_by is not None:
+        _check_sorted_zones(path, sort_by, [state.name for state in columns], chunks)
 
-    header_doc = {
-        "name": table.name,
+    # whole-table fingerprint in canonical column-major payload order; the
+    # file-level dictionary pages come first in the page region
+    hasher = blake2b(digest_size=16)
+    columns_meta: list[ColumnMeta] = []
+    dict_pages: list[bytes] = []
+    dict_nbytes = 0
+    for pos, state in enumerate(columns):
+        hasher.update(state.name.encode("utf-8"))
+        hasher.update(state.ctype.value.encode("ascii"))
+        for chunk in chunks:
+            ref = chunk.pages[pos]
+            for block in _staged_blocks(pages, ref.offset, ref.nbytes, path):
+                hasher.update(block)
+        col_meta = ColumnMeta(name=state.name, ctype=state.ctype)
+        if state.ctype is CATEGORICAL:
+            dictionary, exact = state.file_dictionary()
+            payload = _encode_dictionary(dictionary)
+            hasher.update(payload)
+            col_meta.dictionary = PageRef(offset=dict_nbytes, nbytes=len(payload))
+            col_meta.dict_count = len(dictionary)
+            col_meta.dict_exact = exact
+            dict_pages.append(payload)
+            dict_nbytes = _align(dict_nbytes + len(payload))
+        columns_meta.append(col_meta)
+    for chunk in chunks:
+        chunk.pages = [
+            PageRef(offset=ref.offset + dict_nbytes, nbytes=ref.nbytes) for ref in chunk.pages
+        ]
+
+    header = TableHeader(
+        name=name,
+        num_rows=num_rows,
+        fingerprint=hasher.hexdigest(),
+        columns=columns_meta,
+        pages_start=0,
+        pages_nbytes=dict_nbytes + staged,
+        meta=meta or None,
+        chunks=chunks,
+        chunk_rows=chunk_rows,
+    )
+    doc = {
+        "name": name,
         "num_rows": num_rows,
-        "fingerprint": fingerprint,
+        "fingerprint": header.fingerprint,
         "columns": [_meta_to_doc(col_meta) for col_meta in columns_meta],
         "chunk_rows": chunk_rows,
-        "chunks": [_chunk_to_doc(chunk) for chunk in chunks_meta],
+        "chunks": [_chunk_to_doc(chunk) for chunk in chunks],
     }
     if meta:
-        header_doc["meta"] = meta
-    header_bytes = json.dumps(header_doc, separators=(",", ":")).encode("utf-8")
-    pages_start = _align(_PREFIX_LEN + len(header_bytes))
+        doc["meta"] = meta
+    header_bytes = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    header.pages_start = _align(_PREFIX_LEN + len(header_bytes))
 
     def write_to(handle):
         handle.write(MAGIC)
         handle.write(CHUNKED_FORMAT_VERSION.to_bytes(4, "little"))
         handle.write(len(header_bytes).to_bytes(4, "little"))
         handle.write(header_bytes)
-        handle.write(b"\x00" * (pages_start - _PREFIX_LEN - len(header_bytes)))
-        for payload in pages:
-            handle.write(payload)
+        handle.write(b"\x00" * (header.pages_start - _PREFIX_LEN - len(header_bytes)))
+        for payload in dict_pages:
+            _write_page(handle, payload)
+        for block in _staged_blocks(pages, 0, staged, path):
+            handle.write(block)
 
     atomic_replace(path, write_to)
-    return TableHeader(
-        name=table.name,
-        num_rows=num_rows,
-        fingerprint=fingerprint,
-        columns=columns_meta,
-        pages_start=pages_start,
-        pages_nbytes=rel,
-        meta=meta,
-        chunks=chunks_meta,
-        chunk_rows=chunk_rows,
-    )
+    return header
 
 
 def _meta_to_doc(meta: ColumnMeta) -> dict:
@@ -708,8 +768,9 @@ def read_table_header(path: str | Path) -> TableHeader:
 
     This is the whole cost of cataloguing a table: a repository ``open`` over
     hundreds of files reads a few hundred bytes per file (plus the zone-map
-    section for chunked files, attributed separately in
-    :func:`bytes_read_detail`).
+    section, attributed separately in :func:`bytes_read_detail`).
+    ``pages_nbytes`` is the aligned length of the page region, so
+    ``pages_start + pages_nbytes`` is the size of the file.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -735,7 +796,7 @@ def read_table_header(path: str | Path) -> TableHeader:
         _count(len(prefix) + len(header_bytes), "header")
         raise TableFormatError(f"{path}: corrupt header JSON: {exc}") from None
 
-    # attribute the zone-map share of a chunked header separately so the
+    # attribute the zone-map share of the header separately so the
     # headers-only cold-open assertion stays meaningful at high chunk counts
     zone_bytes = 0
     if "chunks" in doc:
@@ -759,22 +820,18 @@ def read_table_header(path: str | Path) -> TableHeader:
             raise TableFormatError(
                 f"{path}: chunk rows sum to {row_start}, header says {doc['num_rows']}"
             )
-    pages_nbytes = 0
-    for meta in columns:
-        for ref in (meta.data, meta.codes, meta.dictionary):
-            if ref is not None:
-                pages_nbytes = max(pages_nbytes, ref.offset + ref.nbytes)
-    if chunks:
-        for chunk in chunks:
-            for ref in chunk.pages:
-                pages_nbytes = max(pages_nbytes, ref.offset + ref.nbytes)
+    # every writer pads each page, so the page region ends on the alignment
+    # after the last page: pages_start + pages_nbytes is the file size
+    refs = [ref for meta in columns for ref in (meta.data, meta.codes, meta.dictionary)]
+    refs += [ref for chunk in chunks or () for ref in chunk.pages]
+    pages_end = max((ref.offset + ref.nbytes for ref in refs if ref is not None), default=0)
     return TableHeader(
         name=doc["name"],
         num_rows=doc["num_rows"],
         fingerprint=doc["fingerprint"],
         columns=columns,
         pages_start=_align(_PREFIX_LEN + header_len),
-        pages_nbytes=pages_nbytes,
+        pages_nbytes=_align(pages_end),
         meta=doc.get("meta"),
         chunks=chunks,
         chunk_rows=doc.get("chunk_rows"),
@@ -795,96 +852,34 @@ def read_table(path: str | Path, mmap: bool = True) -> Table:
     """Load a table written by :func:`write_table`.
 
     With ``mmap=True`` (default) numeric and code buffers are copy-on-write
-    views into a single ``np.memmap`` of the file: the load reads only the
-    header and dictionary pages, and the mapping stays valid even if the file
-    is later replaced via :func:`write_table` (``os.replace`` keeps the old
-    inode alive for existing maps).  With ``mmap=False`` every page is read
-    into process memory up front.
+    views into a single ``np.memmap`` of the file: loading a one-chunk file
+    reads only the header and dictionary pages, and the mapping stays valid
+    even if the file is later replaced via :func:`write_table`
+    (``os.replace`` keeps the old inode alive for existing maps).  With
+    ``mmap=False`` every page is read into process memory up front.
 
-    A chunked (version-2) file loads transparently: per-chunk pages are
+    A file of several row groups loads transparently: per-chunk pages are
     stitched into whole columns, which materialises the data — callers that
     want bounded memory should stream through :func:`open_chunks` instead.
     """
-    path = Path(path)
-    header = read_table_header(path)
-    if header.chunks:
-        return ChunkedTableReader(path, mmap=mmap, header=header).table()
-    file_size = path.stat().st_size
-    if header.pages_start + header.pages_nbytes > file_size:
-        raise TableFormatError(
-            f"{path}: truncated file ({file_size} bytes, header describes "
-            f"{header.pages_start + header.pages_nbytes})"
-        )
-
-    buf: np.ndarray | None = None
-    handle = None
-    if mmap and file_size > header.pages_start:
-        buf = np.memmap(path, dtype=np.uint8, mode="c")
-    elif not mmap:
-        handle = path.open("rb")
-
-    def page(ref: PageRef, kind: str = "pages") -> np.ndarray:
-        start = header.pages_start + ref.offset
-        if ref.nbytes == 0:
-            return np.empty(0, dtype=np.uint8)
-        if buf is not None:
-            # demote the slice to a base-class ndarray view: element access on
-            # the np.memmap subclass goes through a slow __getitem__ override,
-            # and the view's .base chain keeps the mapping alive regardless
-            return np.asarray(buf[start : start + ref.nbytes])
-        handle.seek(start)
-        raw = bytearray(handle.read(ref.nbytes))
-        _count(len(raw), kind)
-        if len(raw) < ref.nbytes:
-            raise TableFormatError(f"{path}: truncated page at offset {start}")
-        return np.frombuffer(raw, dtype=np.uint8)
-
-    try:
-        columns: list[Column] = []
-        for meta in header.columns:
-            if meta.ctype is CATEGORICAL:
-                codes_page = page(meta.codes)
-                codes = (
-                    codes_page.view("<i4")
-                    if len(codes_page)
-                    else np.empty(0, dtype=np.int32)
-                )
-                dict_page = page(meta.dictionary, "dictionary")
-                if buf is not None:
-                    # the dictionary is decoded eagerly; those pages are real reads
-                    _count(meta.dictionary.nbytes, "dictionary")
-                dictionary = _decode_dictionary(dict_page, meta.dict_count)
-                columns.append(
-                    Column.from_codes(meta.name, codes, dictionary, dict_exact=meta.dict_exact)
-                )
-            else:
-                data_page = page(meta.data)
-                data = (
-                    data_page.view("<f8")
-                    if len(data_page)
-                    else np.empty(0, dtype=np.float64)
-                )
-                columns.append(Column.from_array(meta.name, data, meta.ctype))
-        return Table(columns, name=header.name)
-    finally:
-        if handle is not None:
-            handle.close()
+    return ChunkedTableReader(path, mmap=mmap).table()
 
 
 # -- chunked reading ----------------------------------------------------------
 
 
 class ChunkedTableReader:
-    """Stream a table file one row group at a time.
+    """Read a table file: the whole table, or one row group at a time.
 
-    Works over both formats: a version-2 file exposes its real row groups and
-    zone maps; a version-1 monolithic file presents as a single implicit chunk
-    (with :attr:`has_zones` False), so every streaming consumer handles both
-    layouts with one code path.  With ``mmap=True`` (default) chunk pages are
-    copy-on-write views into one file mapping — iterating the table keeps at
-    most one chunk's touched pages resident, and the reader survives the file
-    being atomically replaced.  ``chunks_read``/:attr:`num_chunks` feed the
-    pruning-ratio accounting of the streaming join.
+    A version-2 file exposes its row groups and zone maps.  A legacy
+    version-1 file (written before every table became version 2) presents
+    as a single implicit chunk with :attr:`has_zones` False, so every
+    consumer reads both with one code path.  With ``mmap=True`` (default)
+    chunk pages are copy-on-write views into one file mapping — iterating the
+    table keeps at most one chunk's touched pages resident, and the reader
+    survives the file being atomically replaced.  ``chunks_read`` /
+    :attr:`num_chunks` feed the pruning-ratio accounting of the streaming
+    join.
     """
 
     def __init__(self, path: str | Path, mmap: bool = True, header: TableHeader | None = None):
@@ -906,10 +901,10 @@ class ChunkedTableReader:
         # per-column (mins, maxes) zone arrays for sorted binary-search
         # pruning; False caches a negative answer (absent / non-monotonic)
         self._zone_bounds: dict[str, tuple[np.ndarray, np.ndarray] | bool] = {}
-        if self.header.chunks:
+        if self.header.chunks is not None:
             self._chunks = self.header.chunks
         else:
-            # synthesise one implicit chunk over a monolithic file
+            # synthesise one zone-less chunk over a legacy version-1 file
             pages = [
                 (meta.codes if meta.ctype is CATEGORICAL else meta.data)
                 for meta in self.header.columns
@@ -945,7 +940,7 @@ class ChunkedTableReader:
 
     @property
     def has_zones(self) -> bool:
-        """Whether the file carries a zone map (version-2 chunked files only)."""
+        """Whether the file carries a zone map (every version-2 file does)."""
         return self.header.chunks is not None
 
     def __contains__(self, name: str) -> bool:
@@ -968,7 +963,7 @@ class ChunkedTableReader:
 
     def zones(self, index: int) -> dict[str, tuple[float, float] | None] | None:
         """One chunk's zone map by column name, or ``None`` when the file has
-        no zone maps (monolithic version-1 file — callers must not prune)."""
+        no zone maps (a legacy version-1 file — callers must not prune)."""
         if not self.has_zones:
             return None
         chunk = self._chunks[index]
@@ -1049,16 +1044,10 @@ class ChunkedTableReader:
         not contain every dictionary entry).
         """
         arrays = self._chunk_arrays(index, columns)
-        out: list[Column] = []
-        for meta in self._selected(columns):
-            arr = arrays[meta.name]
-            if meta.ctype is CATEGORICAL:
-                out.append(
-                    Column.from_codes(meta.name, arr, self._dictionary(meta))
-                )
-            else:
-                out.append(Column.from_array(meta.name, arr, meta.ctype))
-        return Table(out, name=self.header.name)
+        return Table(
+            [self._column(meta, arrays[meta.name]) for meta in self._selected(columns)],
+            name=self.header.name,
+        )
 
     def iter_chunks(self, columns: Sequence[str] | None = None) -> Iterator[Table]:
         """Yield every row group in file order."""
@@ -1066,43 +1055,23 @@ class ChunkedTableReader:
             yield self.chunk(index, columns)
 
     def table(self) -> Table:
-        """Materialise the whole table (all chunks stitched into one).
+        """Materialise the whole table.
 
-        Restores the stored ``dict_exact`` flags, so a round trip through a
-        chunked file preserves the O(1) ``unique()`` fast path exactly like a
-        monolithic one.
+        A one-chunk file's columns are its page views, so an mmap load stays
+        lazy; several chunks are stitched into whole columns.  Restores the
+        stored ``dict_exact`` flags, so a round trip preserves the O(1)
+        ``unique()`` fast path.
         """
-        if not self.header.chunks:
-            return read_table(self.path, mmap=self._mmap)
-        parts = [self._chunk_arrays(i) for i in range(self.num_chunks)]
-        columns: list[Column] = []
-        for meta in self.header.columns:
-            stacked = np.concatenate([part[meta.name] for part in parts])
-            if meta.ctype is CATEGORICAL:
-                columns.append(
-                    Column.from_codes(
-                        meta.name,
-                        stacked,
-                        self._dictionary(meta),
-                        dict_exact=meta.dict_exact,
-                    )
-                )
-            else:
-                columns.append(Column.from_array(meta.name, stacked, meta.ctype))
+        arrays = self._whole_arrays()
+        columns = [
+            self._column(meta, arrays[meta.name], meta.dict_exact) for meta in self.header.columns
+        ]
         return Table(columns, name=self.header.name)
 
     def column(self, name: str) -> Column:
         """Materialise one whole column across all chunks."""
         meta = self._column_meta(name)
-        parts = [
-            self._chunk_arrays(i, [name])[name] for i in range(self.num_chunks)
-        ]
-        stacked = np.concatenate(parts) if parts else np.empty(0)
-        if meta.ctype is CATEGORICAL:
-            return Column.from_codes(
-                name, stacked, self._dictionary(meta), dict_exact=meta.dict_exact
-            )
-        return Column.from_array(name, stacked, meta.ctype)
+        return self._column(meta, self._whole_arrays([name])[name], meta.dict_exact)
 
     def take(self, indices) -> Table:
         """Gather arbitrary global row indices into an in-memory table.
@@ -1131,12 +1100,7 @@ class ChunkedTableReader:
             arrays = self._chunk_arrays(i)
             for name, arr in arrays.items():
                 outs[name][mask] = arr[local]
-        columns = [
-            Column.from_codes(meta.name, outs[meta.name], self._dictionary(meta))
-            if meta.ctype is CATEGORICAL
-            else Column.from_array(meta.name, outs[meta.name], meta.ctype)
-            for meta in self.header.columns
-        ]
+        columns = [self._column(meta, outs[meta.name]) for meta in self.header.columns]
         return Table(columns, name=self.header.name)
 
     # -- internals -------------------------------------------------------------
@@ -1152,11 +1116,27 @@ class ChunkedTableReader:
             return self.header.columns
         return [self._column_meta(name) for name in columns]
 
+    def _column(self, meta: ColumnMeta, arr: np.ndarray, dict_exact: bool = False) -> Column:
+        if meta.ctype is CATEGORICAL:
+            return Column.from_codes(meta.name, arr, self._dictionary(meta), dict_exact=dict_exact)
+        return Column.from_array(meta.name, arr, meta.ctype)
+
+    def _whole_arrays(self, columns: Sequence[str] | None = None) -> dict[str, np.ndarray]:
+        """Per-column arrays over every chunk: a one-chunk file's page views
+        as they are, several chunks' pages concatenated."""
+        parts = [self._chunk_arrays(i, columns) for i in range(self.num_chunks)]
+        if len(parts) == 1:
+            return parts[0]
+        return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
     def _page(self, ref: PageRef, kind: str = "pages") -> np.ndarray:
         start = self.header.pages_start + ref.offset
         if ref.nbytes == 0:
             return np.empty(0, dtype=np.uint8)
         if self._buf is not None:
+            # demote the slice to a base-class ndarray view: element access on
+            # the np.memmap subclass goes through a slow __getitem__ override,
+            # and the view's .base chain keeps the mapping alive regardless
             return np.asarray(self._buf[start : start + ref.nbytes])
         with self.path.open("rb") as handle:
             handle.seek(start)
@@ -1189,60 +1169,12 @@ class ChunkedTableReader:
 
 
 def open_chunks(path: str | Path, mmap: bool = True) -> ChunkedTableReader:
-    """Open a table file for chunk-at-a-time streaming (both format versions)."""
+    """Open a table file for chunk-at-a-time streaming (legacy version-1
+    files too, as one zone-less chunk)."""
     return ChunkedTableReader(path, mmap=mmap)
 
 
 # -- streaming writer ----------------------------------------------------------
-
-
-@dataclass
-class _StreamColumnState:
-    """Per-column accumulation for the streaming chunked writer."""
-
-    name: str
-    ctype: ColumnType
-    dict_index: dict[str, int] = field(default_factory=dict)
-
-
-def _check_sorted_zones(
-    path: Path, sort_by: str, states, chunks_meta: list[ChunkMeta]
-) -> None:
-    """Validate the sort-order claim of a streamed write.
-
-    The ``sort_by`` column's chunk zones must be monotonically non-decreasing
-    (``prev.max <= next.min``) with all-missing (``None``) zones only in a
-    trailing run — exactly the property the reader's binary-search pruning
-    relies on.  A sorted stream satisfies this by construction for numeric
-    columns (NaNs ordered last) and for categoricals too, because the shared
-    file-level dictionary assigns codes in first-appearance order, which under
-    a sorted stream is ascending value order.
-    """
-    pos = next((i for i, s in enumerate(states) if s.name == sort_by), None)
-    if pos is None:
-        raise ValueError(
-            f"write_table_stream: sort_by column {sort_by!r} not in schema "
-            f"({[s.name for s in states]})"
-        )
-    prev_max: float | None = None
-    seen_none = False
-    for index, chunk in enumerate(chunks_meta):
-        zone = chunk.zones[pos]
-        if zone is None:
-            seen_none = True
-            continue
-        if seen_none:
-            raise ValueError(
-                f"{path}: sort_by={sort_by!r} violated — chunk {index} has "
-                f"values after an all-missing chunk (missing must sort last)"
-            )
-        lo, hi = zone
-        if prev_max is not None and lo < prev_max:
-            raise ValueError(
-                f"{path}: sort_by={sort_by!r} violated — chunk {index} starts "
-                f"at {lo} below previous chunk max {prev_max}"
-            )
-        prev_max = hi
 
 
 def write_table_stream(
@@ -1256,17 +1188,17 @@ def write_table_stream(
     """Write a table from an iterable of same-schema chunk tables, bounded memory.
 
     Incoming chunks are re-batched to the ``chunk_rows`` target (explicit
-    argument, else ``ARDA_CHUNK_ROWS``, else ``DEFAULT_STREAM_CHUNK_ROWS``).
-    Pages are spilled to a temp sibling as chunks arrive — peak memory is a
-    couple of chunks regardless of total rows — then the final file (header +
+    argument, else ``ARDA_CHUNK_ROWS``, else ``DEFAULT_STREAM_CHUNK_ROWS``;
+    an explicit ``0`` gathers everything into one row group).  Pages are
+    spilled to a temp sibling as chunks arrive — peak memory is a couple of
+    chunks regardless of total rows — then the final file (header +
     file-level dictionary pages + the spilled chunk pages) is assembled with a
-    bounded copy buffer and published atomically.  Categorical codes are
-    remapped into one shared file-level dictionary as they stream through;
-    the stored whole-table fingerprint is computed column-major over the spill
-    so it equals what :func:`write_table` would store for the concatenated
-    table carrying the same dictionaries.  If everything fits one chunk the
-    write degrades to a plain monolithic :func:`write_table` (bit-compatible
-    with the version-1 format).
+    bounded copy buffer and published atomically.  Categorical columns keep
+    the first chunk's dictionary; a chunk with another dictionary is remapped
+    into it as it streams through.  The stored whole-table fingerprint is
+    computed column-major over the spill, so it equals what
+    :func:`write_table` would store for the concatenated table carrying the
+    same dictionaries.
 
     ``sort_by`` declares that the incoming chunks are globally ordered by one
     column (missing values last).  The claim is validated against the written
@@ -1277,200 +1209,42 @@ def write_table_stream(
     path = Path(path)
     if sort_by is not None:
         meta = {**(meta or {}), "sort_by": sort_by}
-    resolved = resolve_chunk_rows(chunk_rows)
-    if resolved is None:
-        resolved = DEFAULT_STREAM_CHUNK_ROWS
-
-    states: list[_StreamColumnState] | None = None
-    table_name = name
-    chunks_meta: list[ChunkMeta] = []
-    num_rows = 0
-    rel = 0
-
-    fd, spill_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".spill")
-    spill = os.fdopen(fd, "w+b")
-    try:
-
-        def spill_page(payload: bytes) -> PageRef:
-            nonlocal rel
-            ref = PageRef(offset=rel, nbytes=len(payload))
-            spill.write(payload)
-            rel += len(payload)
-            pad = _align(rel) - rel
-            if pad:
-                spill.write(b"\x00" * pad)
-                rel += pad
-            return ref
-
-        def emit(part: Table) -> None:
-            nonlocal num_rows
-            chunk_pages: list[PageRef] = []
-            chunk_zones: list[tuple[float, float] | None] = []
-            chunk_hasher = blake2b(digest_size=16)
-            for state in states:
-                column = part.column(state.name)
-                if column.ctype is not state.ctype:
-                    raise ValueError(
-                        f"write_table_stream: column {state.name!r} changed type "
-                        f"across chunks ({state.ctype.value} vs {column.ctype.value})"
-                    )
-                if state.ctype is CATEGORICAL:
-                    translate = remap_dictionary(column.dictionary, state.dict_index)
-                    arr = np.ascontiguousarray(translate[column.codes], dtype="<i4")
-                else:
-                    arr = np.ascontiguousarray(column.values, dtype="<f8")
-                payload = arr.tobytes()
-                chunk_hasher.update(payload)
-                chunk_pages.append(spill_page(payload))
-                chunk_zones.append(_column_zone(column, arr))
-            chunks_meta.append(
-                ChunkMeta(
-                    rows=part.num_rows,
-                    pages=chunk_pages,
-                    zones=chunk_zones,
-                    fingerprint=chunk_hasher.hexdigest(),
-                    row_start=num_rows,
-                )
-            )
-            num_rows += part.num_rows
-
-        batches = _rebatch(chunks, resolved)
-        first = next(batches, None)
-        if first is None:
-            raise ValueError("write_table_stream requires at least one chunk")
-        states = [_StreamColumnState(col.name, col.ctype) for col in first.columns()]
-        if table_name is None:
-            table_name = first.name
-        if sort_by is not None and sort_by not in first.column_names:
-            raise ValueError(
-                f"write_table_stream: sort_by column {sort_by!r} not in schema "
-                f"({first.column_names})"
-            )
-        second = next(batches, None)
-        if second is None:
-            # everything fit one chunk: write it monolithically (format v1);
-            # a single chunk is trivially sorted, the marker rides in meta
-            if first.name != table_name:
-                first = Table(list(first.columns()), name=table_name)
-            return write_table(first, path, meta=meta, chunk_rows=0)
-        emit(first)
-        emit(second)
-        for part in batches:
-            emit(part)
-        if sort_by is not None:
-            _check_sorted_zones(path, sort_by, states, chunks_meta)
-
-        # final dictionaries, in shared-index insertion order
-        dict_payloads: list[bytes | None] = []
-        dictionaries: list[np.ndarray | None] = []
-        for state in states:
-            if state.ctype is CATEGORICAL:
-                merged = np.empty(len(state.dict_index), dtype=object)
-                for text, code in state.dict_index.items():
-                    merged[code] = text
-                dictionaries.append(merged)
-                dict_payloads.append(_encode_dictionary(merged))
-            else:
-                dictionaries.append(None)
-                dict_payloads.append(None)
-
-        # whole-table fingerprint: canonical column-major payload order,
-        # re-reading the spilled chunk pages with a bounded buffer
-        hasher = blake2b(digest_size=16)
-        for pos, state in enumerate(states):
-            hasher.update(state.name.encode("utf-8"))
-            hasher.update(state.ctype.value.encode("ascii"))
-            for chunk in chunks_meta:
-                ref = chunk.pages[pos]
-                spill.seek(ref.offset)
-                remaining = ref.nbytes
-                while remaining:
-                    block = spill.read(min(remaining, _COPY_BLOCK))
-                    if not block:
-                        raise TableFormatError(f"{path}: truncated spill file")
-                    hasher.update(block)
-                    remaining -= len(block)
-            if dict_payloads[pos] is not None:
-                hasher.update(dict_payloads[pos])
-        fingerprint = hasher.hexdigest()
-
-        # file-level dictionary pages precede the spilled chunk pages; spill
-        # offsets shift by the aligned dictionary region as a whole
-        columns_meta: list[ColumnMeta] = []
-        dict_rel = 0
-        dict_blobs: list[bytes] = []
-        for state, payload, dictionary in zip(states, dict_payloads, dictionaries):
-            col_meta = ColumnMeta(name=state.name, ctype=state.ctype)
-            if payload is not None:
-                col_meta.dictionary = PageRef(offset=dict_rel, nbytes=len(payload))
-                col_meta.dict_count = len(dictionary)
-                dict_blobs.append(payload)
-                dict_rel += len(payload)
-                pad = _align(dict_rel) - dict_rel
-                if pad:
-                    dict_blobs.append(b"\x00" * pad)
-                    dict_rel += pad
-            columns_meta.append(col_meta)
-        for chunk in chunks_meta:
-            chunk.pages = [
-                PageRef(offset=ref.offset + dict_rel, nbytes=ref.nbytes)
-                for ref in chunk.pages
-            ]
-
-        header_doc = {
-            "name": table_name,
-            "num_rows": num_rows,
-            "fingerprint": fingerprint,
-            "columns": [_meta_to_doc(col_meta) for col_meta in columns_meta],
-            "chunk_rows": resolved,
-            "chunks": [_chunk_to_doc(chunk) for chunk in chunks_meta],
-        }
-        if meta:
-            header_doc["meta"] = meta
-        header_bytes = json.dumps(header_doc, separators=(",", ":")).encode("utf-8")
-        pages_start = _align(_PREFIX_LEN + len(header_bytes))
-
-        def write_to(handle):
-            handle.write(MAGIC)
-            handle.write(CHUNKED_FORMAT_VERSION.to_bytes(4, "little"))
-            handle.write(len(header_bytes).to_bytes(4, "little"))
-            handle.write(header_bytes)
-            handle.write(b"\x00" * (pages_start - _PREFIX_LEN - len(header_bytes)))
-            for blob in dict_blobs:
-                handle.write(blob)
-            spill.seek(0)
-            remaining = rel
-            while remaining:
-                block = spill.read(min(remaining, _COPY_BLOCK))
-                if not block:
-                    raise TableFormatError(f"{path}: truncated spill file")
-                handle.write(block)
-                remaining -= len(block)
-
-        atomic_replace(path, write_to)
-        return TableHeader(
-            name=table_name,
-            num_rows=num_rows,
-            fingerprint=fingerprint,
-            columns=columns_meta,
-            pages_start=pages_start,
-            pages_nbytes=dict_rel + rel,
-            meta=meta,
-            chunks=chunks_meta,
-            chunk_rows=resolved,
+    target = resolve_chunk_rows(chunk_rows)
+    if target is None and chunk_rows != 0:
+        target = DEFAULT_STREAM_CHUNK_ROWS
+    batches = _rebatch(chunks, target)
+    first = next(batches, None)
+    if first is None:
+        raise ValueError("write_table_stream requires at least one chunk")
+    if sort_by is not None and sort_by not in first.column_names:
+        raise ValueError(
+            f"write_table_stream: sort_by column {sort_by!r} not in schema "
+            f"({first.column_names})"
         )
+    fd, spill_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".spill")
+    try:
+        with os.fdopen(fd, "w+b") as spill:
+            return _write_row_groups(
+                path,
+                first.name if name is None else name,
+                first,
+                itertools.chain([first], batches),
+                spill,
+                target,
+                meta,
+                sort_by,
+            )
     finally:
-        spill.close()
         try:
             os.unlink(spill_name)
         except OSError:
             pass
 
 
-def _rebatch(chunks, target: int) -> Iterator[Table]:
+def _rebatch(chunks, target: int | None) -> Iterator[Table]:
     """Re-slice an iterable of tables into chunks of exactly ``target`` rows
-    (the final chunk may be short).  Buffers at most ``target`` rows plus one
-    incoming chunk."""
+    (the final chunk may be short; ``None`` concatenates everything into one
+    chunk).  Buffers at most ``target`` rows plus one incoming chunk."""
     pending: list[Table] = []
     pending_rows = 0
     for part in chunks:
@@ -1478,7 +1252,7 @@ def _rebatch(chunks, target: int) -> Iterator[Table]:
             continue
         pending.append(part)
         pending_rows += part.num_rows
-        while pending_rows >= target:
+        while target is not None and pending_rows >= target:
             merged = _concat_parts(pending)
             yield merged.take(np.arange(target)) if merged.num_rows > target else merged
             if merged.num_rows > target:

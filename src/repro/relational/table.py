@@ -304,9 +304,10 @@ class Table:
     def load(cls, path, mmap: bool = True) -> "Table":
         """Load a table written by :meth:`save`.
 
-        With ``mmap=True`` (default) numeric and dictionary-code buffers come
-        back as copy-on-write memory maps: only the header and string
-        dictionaries are read eagerly, row data is paged in on first access.
+        With ``mmap=True`` (default) a one-chunk file's numeric and
+        dictionary-code buffers come back as copy-on-write memory maps: only
+        the header and string dictionaries are read eagerly, row data is
+        paged in on first access.
         """
         from repro.relational.persist import read_table
 

@@ -1,8 +1,8 @@
 """Tests for row-group chunked storage, streaming joins and out-of-core runs.
 
-Three property groups pin the format's central invariants: a chunked file is
-*content-equivalent* to the monolithic file (same decoded table, same
-fingerprint, version-1 bit-compatibility when one chunk suffices), a
+Three property groups pin the format's central invariants: a file of many
+row groups is *content-equivalent* to a one-group file (same decoded table,
+same fingerprint; legacy version-1 files read as one zone-less chunk), a
 zone-map-pruned streaming join is *result-equivalent* to the in-memory join
 (pruned ≡ unpruned ≡ ``left_join``), and chunk-wise profiling/binning produce
 the same artifacts as their whole-table counterparts.  Around them sit the
@@ -32,6 +32,8 @@ from repro.relational.join import (
     streaming_left_join,
 )
 from repro.relational.persist import (
+    CHUNKED_FORMAT_VERSION,
+    MAGIC,
     bytes_read,
     bytes_read_detail,
     open_chunks,
@@ -44,6 +46,7 @@ from repro.relational.persist import (
 )
 from repro.relational.schema import CATEGORICAL, NUMERIC
 from repro.relational.table import Table
+from v1_reference import write_table_v1
 
 # -- strategies -------------------------------------------------------------
 
@@ -108,7 +111,7 @@ def assert_tables_equal(got, want):
         assert got.column(name) == want.column(name), name
 
 
-# -- chunked files are content-equivalent to monolithic ones ----------------
+# -- every row-group layout is content-equivalent ---------------------------
 
 
 class TestChunkedRoundTrip:
@@ -155,16 +158,46 @@ class TestChunkedRoundTrip:
         assert header.fingerprint == table_fingerprint(table)
         assert_tables_equal(read_table(tmp / "b.tbl"), table)
 
-    def test_single_chunk_write_is_bit_identical_to_v1(self, tmp_path):
+    def test_one_row_group_table_is_a_zone_mapped_v2_file(self, tmp_path):
         table = Table.from_dict(
             {"k": ["a", "b", None], "x": [1.0, None, 3.0]},
             types={"k": CATEGORICAL, "x": NUMERIC},
             name="t",
         )
-        write_table(table, tmp_path / "v1.tbl", chunk_rows=0)
-        write_table(table, tmp_path / "auto.tbl", chunk_rows=10)  # fits one chunk
-        assert (tmp_path / "auto.tbl").read_bytes() == (tmp_path / "v1.tbl").read_bytes()
-        assert read_table_header(tmp_path / "auto.tbl").chunks is None
+        for chunk_rows in (0, 10):  # no target, and a target the table fits
+            path = tmp_path / f"t{chunk_rows}.tbl"
+            write_table(table, path, chunk_rows=chunk_rows)
+            raw = path.read_bytes()
+            assert raw[len(MAGIC) : len(MAGIC) + 4] == CHUNKED_FORMAT_VERSION.to_bytes(4, "little")
+            reader = open_chunks(path)
+            assert reader.num_chunks == 1 and reader.has_zones
+            assert reader.zones(0) == {"k": (0.0, 1.0), "x": (1.0, 3.0)}
+            assert reader.header.chunks[0].rows == 3
+            assert_tables_equal(read_table(path), table)
+
+    @pytest.mark.parametrize(
+        "rows, chunk_rows", [(7, 0), (7, 1), (7, 50), (0, 0), (0, 4)]
+    )
+    def test_writers_return_the_header_they_write(self, tmp_path, rows, chunk_rows):
+        rng = np.random.default_rng(rows + chunk_rows)
+        table = Table.from_dict(
+            {
+                "c": [f"v{i}" for i in rng.integers(0, 3, rows)],
+                "x": rng.normal(size=rows),
+            },
+            types={"c": CATEGORICAL, "x": NUMERIC},
+            name="t",
+        )
+        direct = write_table(table, tmp_path / "w.tbl", meta={"m": 1}, chunk_rows=chunk_rows)
+        streamed = write_table_stream(
+            tmp_path / "s.tbl",
+            open_chunks(tmp_path / "w.tbl").iter_chunks(),
+            chunk_rows=chunk_rows,
+        )
+        for header, name in ((direct, "w.tbl"), (streamed, "s.tbl")):
+            assert header == read_table_header(tmp_path / name)  # field for field
+            size = (tmp_path / name).stat().st_size
+            assert header.pages_start + header.pages_nbytes == size
 
     def test_views_and_sorts_straddle_chunk_boundaries(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -195,11 +228,35 @@ class TestChunkedRoundTrip:
 
     def test_v1_file_reads_as_single_unprunable_chunk(self, tmp_path):
         table = Table.from_dict({"x": [1.0, 2.0]}, types={"x": NUMERIC}, name="t")
-        write_table(table, tmp_path / "t.tbl", chunk_rows=0)
+        written = write_table_v1(table, tmp_path / "t.tbl")
+        assert read_table_header(tmp_path / "t.tbl") == written
         reader = open_chunks(tmp_path / "t.tbl")
         assert reader.num_chunks == 1 and not reader.has_zones
         assert reader.zones(0) is None
         assert_tables_equal(reader.table(), table)
+
+    def test_one_chunk_mmap_load_stays_lazy(self, tmp_path):
+        rows = 1 << 16
+        table = Table.from_dict(
+            {
+                "c": [f"v{i % 7}" for i in range(rows)],
+                "x": np.arange(rows, dtype=float),
+                "y": np.ones(rows),
+            },
+            types={"c": CATEGORICAL, "x": NUMERIC, "y": NUMERIC},
+            name="t",
+        )
+        header = write_table(table, tmp_path / "t.tbl", chunk_rows=0)
+        page_bytes = header.chunks[0].nbytes()
+        assert header.num_chunks == 1 and page_bytes >= 1 << 20
+        tracemalloc.start()
+        try:
+            loaded = read_table(tmp_path / "t.tbl")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * page_bytes
+        assert_tables_equal(loaded, table)
 
 
 # -- pruned streaming joins equal in-memory joins ---------------------------
@@ -520,8 +577,8 @@ class TestRechunkAndCli:
         assert repo.header("orders").num_chunks == 4
         assert repo.header("orders").fingerprint == fingerprint
         assert_tables_equal(repo.get("orders"), table)
-        repo.rechunk("orders", chunk_rows=0)  # back to a monolithic v1 file
-        assert repo.header("orders").chunks is None
+        repo.rechunk("orders", chunk_rows=0)  # back to one row group
+        assert len(repo.header("orders").chunks) == 1
         assert repo.header("orders").fingerprint == fingerprint
         assert_tables_equal(DataRepository.open(tmp_path).get("orders"), table)
 
@@ -551,7 +608,42 @@ class TestRechunkAndCli:
         assert "8 -> 2 chunks" in capsys.readouterr().out
         assert cli_main(["repo", "rechunk", str(tmp_path), "--all", "--chunk-rows", "0"]) == 0
         capsys.readouterr()
-        assert DataRepository.open(tmp_path).header("orders").chunks is None
+        assert len(DataRepository.open(tmp_path).header("orders").chunks) == 1
+
+    def test_version_1_repository_reads_and_rechunks_to_version_2(self, tmp_path):
+        tables = [
+            Table.from_dict(
+                {
+                    "k": [f"g{i % 5}" for i in range(60)],
+                    "x": [float(i % 9) if i % 4 else None for i in range(60)],
+                },
+                types={"k": CATEGORICAL, "x": NUMERIC},
+                name=name,
+            )
+            for name in ("orders", "items")
+        ]
+        for table in tables:
+            write_table_v1(table, tmp_path / f"{table.name}.tbl")
+        for mmap in (True, False):
+            repo = DataRepository.open(tmp_path, mmap=mmap, load_profiles=False)
+            assert sorted(repo.table_names) == ["items", "orders"]
+            for table in tables:
+                assert repo.header(table.name).chunks is None
+                assert repo.fingerprint(table.name) == table_fingerprint(table)
+                assert_tables_equal(repo.get(table.name), table)
+                reader = repo.open_chunks(table.name)
+                assert reader.num_chunks == 1 and not reader.has_zones
+                assert_tables_equal(reader.chunk(0), table)
+                reference = profile_table(table)
+                profiles = repo.profiles(table.name)
+                assert set(profiles) == set(reference)
+                for column in reference:
+                    assert profiles[column].to_state() == reference[column].to_state()
+        fingerprint = repo.fingerprint("orders")
+        repo.rechunk("orders", chunk_rows=0)
+        header = DataRepository.open(tmp_path).header("orders")
+        assert len(header.chunks) == 1 and header.fingerprint == fingerprint
+        assert_tables_equal(DataRepository.open(tmp_path).get("orders"), tables[0])
 
     def test_cli_error_paths(self, tmp_path, capsys):
         self._repo(tmp_path)

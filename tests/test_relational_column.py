@@ -114,6 +114,16 @@ class TestColumnOperations:
         merged = concat_columns([a, b])
         assert list(merged.values) == [1.0, 2.0, 3.0]
 
+    def test_concat_categorical_columns(self):
+        col = Column.categorical("c", ["b", "a", None, "b"])
+        head, tail = col.take(np.array([0, 1])), col.take(np.array([2, 3]))
+        shared = concat_columns([head, tail])
+        assert shared.dictionary is col.dictionary
+        assert list(shared.values) == ["b", "a", None, "b"]
+        merged = concat_columns([Column.categorical("c", ["x"]), head])
+        assert list(merged.dictionary) == ["x", "b", "a"]
+        assert list(merged.values) == ["x", "b", "a"]
+
     def test_concat_mismatched_types_raises(self):
         with pytest.raises(ValueError):
             concat_columns([Column.numeric("x", [1.0]), Column.categorical("x", ["a"])])
