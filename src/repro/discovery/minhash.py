@@ -1,11 +1,14 @@
 """MinHash signatures for estimating value-set overlap between columns.
 
-Each distinct value is hashed **once** with a keyed blake2b into a 64-bit base
-hash; the ``num_hashes`` per-function hashes are then derived from the base
-hash with a vectorised splitmix64 finalizer over per-function seeds.  This
-replaces the old scheme of ``num_hashes`` separate blake2b calls per value —
-the signature of a column's dictionary now costs one digest per entry plus a
-handful of numpy passes, which is what makes repository profiling cheap.
+Each distinct value is hashed **once** into a 64-bit base hash: the 8-byte
+blake2b digest of its UTF-8 text under an all-zero 8-byte key.  The keyed
+state is set up once and copied per value, and every digest is read in one
+pass from a single joined buffer.  The ``num_hashes`` per-function hashes
+are then derived from the base hash with a vectorised splitmix64 finalizer
+over per-function seeds, so a column's signature costs one digest per
+distinct value plus a handful of numpy passes, which is what makes
+repository profiling cheap.  Signatures persist in profile sidecars, so this
+hash definition is fixed.
 """
 
 from __future__ import annotations
@@ -19,12 +22,19 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 
 
-def _stable_hash(value: str, seed: int) -> int:
-    """Deterministic 64-bit hash of a string under a seed."""
-    digest = hashlib.blake2b(
-        value.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(digest, "little")
+# keyed once; every value hashes a copy, never this state itself
+_KEYED_BLAKE2B = hashlib.blake2b(digest_size=8, key=bytes(8))
+
+
+def _base_hashes(texts) -> np.ndarray:
+    """Each text's 64-bit base hash (its keyed blake2b digest, little-endian)."""
+    copy = _KEYED_BLAKE2B.copy
+    digests = []
+    for text in texts:
+        state = copy()
+        state.update(text.encode("utf-8"))
+        digests.append(state.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8")
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -39,18 +49,16 @@ class MinHashSignature:
 
     def __init__(self, values, num_hashes: int = 64):
         self.num_hashes = num_hashes
-        seen: set[str] = set()
-        for value in values:
-            if value is None:
-                continue
-            seen.add(str(value))
+        seen = {
+            value if isinstance(value, str) else str(value)
+            for value in values
+            if value is not None
+        }
         self.set_size = len(seen)
         if not seen:
             self.signature = np.full(num_hashes, np.iinfo(np.uint64).max, dtype=np.uint64)
             return
-        base = np.fromiter(
-            (_stable_hash(text, 0) for text in seen), dtype=np.uint64, count=len(seen)
-        )
+        base = _base_hashes(seen)
         with np.errstate(over="ignore"):
             seeds = _splitmix64(
                 _splitmix64(np.arange(1, num_hashes + 1, dtype=np.uint64) * _GOLDEN)

@@ -10,9 +10,11 @@ joins the (large) base table one row group at a time.  Its build keys are
 prepared on the first probe (:class:`_BuildKeys`: each key column's sorted
 distinct values, the build rows packed mixed-radix over them, the first
 build row of each distinct key), so probing a chunk only maps the chunk's
-own keys into that domain with ``searchsorted``; the zone-map pruner reads
-its key ranges off the same prepared keys.  :func:`left_join` is its
-one-chunk case: an in-memory :class:`Table` is joined as a single chunk.
+own keys into that domain — by direct address where the domain is a
+near-contiguous run of integers, with ``searchsorted`` otherwise; the
+zone-map pruner reads its key ranges off the same prepared keys.
+:func:`left_join` is its one-chunk case: an in-memory :class:`Table` is
+joined as a single chunk.
 :func:`iter_streaming_left_join` streams a
 :class:`~repro.relational.persist.ChunkedTableReader` through it; chunks whose
 zone map cannot intersect the build side's key range are **pruned**: their
@@ -93,6 +95,14 @@ def _build_hash_index(columns: Sequence[Column]) -> dict[tuple, int]:
     return index
 
 
+# A numeric key domain of finite integers below 2**53 in magnitude gets a
+# direct-address table when its span needs at most this many slots per
+# distinct value, plus a fixed allowance; a sparser domain keeps searchsorted.
+_SLOTS_PER_VALUE = 4
+_SLOT_ALLOWANCE = 1024
+_EXACT_INTEGERS = 2.0**53
+
+
 class _BuildKeys:
     """The key columns of one build side, prepared once for every probe.
 
@@ -101,26 +111,39 @@ class _BuildKeys:
     categorical key as a ``{text: code}`` index over the strings its rows
     hold.  Build rows with no missing key part are packed mixed-radix over
     those domains, and :attr:`unique_keys` holds each distinct packed key in
-    sorted order with :attr:`first_rows`, the first build row carrying it.
-    A probe then maps left rows into the same domains — a ``searchsorted``
-    for numeric keys, a dictionary remap for categorical ones — and never
-    touches the build keys again.  When the packed span would overflow
-    ``int64`` (only possible for very wide composite keys over huge domains),
-    :attr:`unique_keys` is ``None`` and probes take the dict-based path.
+    sorted order with :attr:`first_rows`, the first build row carrying it
+    (plus a trailing ``-1`` that a missing packed key gathers).
+
+    A probe then maps left rows into the same domains and never touches the
+    build keys again.  A categorical key is a dictionary remap.  A numeric
+    domain of finite integers whose span is within :data:`_SLOTS_PER_VALUE`
+    slots per value (see :func:`_direct_table`) is one gather from a
+    direct-address table built here; any other numeric domain is a
+    ``searchsorted``.  When the packed keys are exactly ``0..span-1`` —
+    always for one key column, and for a composite key whose every
+    combination occurs — a probe's packed key is its position in
+    :attr:`unique_keys`, so :attr:`first_rows` is gathered directly;
+    otherwise the packed keys are found with one more ``searchsorted``.
+    When the packed span would overflow ``int64`` (only possible for very
+    wide composite keys over huge domains), :attr:`unique_keys` is ``None``
+    and probes take the dict-based path.
     """
 
     def __init__(self, key_columns: Sequence[Column]):
         self.columns = list(key_columns)
         self.domains: list[np.ndarray | dict[str, int]] = []
+        self.direct: list[tuple[int, np.ndarray] | None] = []
         packed = None
         span = 1
         for col in self.columns:
             domain, codes = _key_domain(col)
             self.domains.append(domain)
+            self.direct.append(_direct_table(domain))
             span *= max(len(domain), 1)
             packed = _pack(packed, codes, len(domain))
         self.unique_keys: np.ndarray | None = None
-        self.first_rows = np.empty(0, dtype=np.int64)
+        self.first_rows = np.full(1, -1, dtype=np.int64)
+        self.dense = False
         if span > 2**62:
             return
         rows = np.nonzero(packed >= 0)[0]
@@ -129,7 +152,8 @@ class _BuildKeys:
         is_first = np.ones(len(sorted_keys), dtype=bool)
         is_first[1:] = sorted_keys[1:] != sorted_keys[:-1]
         self.unique_keys = sorted_keys[is_first]
-        self.first_rows = rows[order][is_first]
+        self.first_rows = np.append(rows[order][is_first], -1)
+        self.dense = len(self.unique_keys) == span
 
     def ranges(self) -> list[tuple]:
         """The :class:`KeyRangePruner` ranges of these keys."""
@@ -155,11 +179,13 @@ class _BuildKeys:
         if not len(self.unique_keys):
             return np.full(n, -1, dtype=np.int64)
         packed = None
-        for col, domain in zip(left_columns, self.domains):
-            codes = _domain_codes(col, domain)
+        for col, domain, direct in zip(left_columns, self.domains, self.direct):
+            codes = _domain_codes(col, domain, direct)
             if codes is None:
                 return np.full(n, -1, dtype=np.int64)
             packed = _pack(packed, codes, len(domain))
+        if self.dense:
+            return self.first_rows[packed]
         positions = np.minimum(
             np.searchsorted(self.unique_keys, packed), len(self.unique_keys) - 1
         )
@@ -175,7 +201,7 @@ def _pack(packed: np.ndarray | None, codes: np.ndarray, radix: int) -> np.ndarra
     """
     if packed is None:
         return codes
-    return np.where(codes < 0, -1, packed * radix + codes)
+    return np.where((codes < 0) | (packed < 0), -1, packed * radix + codes)
 
 
 def _key_domain(col: Column) -> tuple[np.ndarray | dict[str, int], np.ndarray]:
@@ -196,10 +222,35 @@ def _key_domain(col: Column) -> tuple[np.ndarray | dict[str, int], np.ndarray]:
     return domain, codes
 
 
-def _domain_codes(col: Column, domain: np.ndarray | dict[str, int]) -> np.ndarray | None:
+def _direct_table(domain: np.ndarray | dict[str, int]) -> tuple[int, np.ndarray] | None:
+    """``(lo, table)`` with ``table[v - lo]`` the code of value ``v`` of a
+    numeric key domain (``-1``: a hole), or ``None`` when the domain is
+    categorical, empty, not all finite integers below 2**53 in magnitude, or
+    spans more slots than it may fill."""
+    if isinstance(domain, dict) or not len(domain):
+        return None
+    if not (-_EXACT_INTEGERS < domain[0] and domain[-1] < _EXACT_INTEGERS):
+        return None
+    values = domain.astype(np.int64)
+    if not np.array_equal(values, domain):
+        return None
+    lo = int(values[0])
+    slots = int(values[-1]) - lo + 1
+    if slots > _SLOTS_PER_VALUE * len(domain) + _SLOT_ALLOWANCE:
+        return None
+    table = np.full(slots, -1, dtype=np.int64)
+    table[values - lo] = np.arange(len(domain), dtype=np.int64)
+    return lo, table
+
+
+def _domain_codes(
+    col: Column, domain: np.ndarray | dict[str, int], direct: tuple[int, np.ndarray] | None
+) -> np.ndarray | None:
     """A left key column's codes in a build key's domain (``-1`` = missing or
     absent from the build side), or ``None`` for a categorical/numeric pair,
-    which never matches."""
+    which never matches.  ``direct`` is the domain's :func:`_direct_table`,
+    when it has one: a value inside its span that is integral gathers its
+    code there, and every other value (NaN and ±inf included) misses."""
     if isinstance(domain, dict):
         if col.ctype is not CATEGORICAL:
             return None
@@ -209,6 +260,12 @@ def _domain_codes(col: Column, domain: np.ndarray | dict[str, int]) -> np.ndarra
     values = col.values
     if not len(domain):
         return np.full(len(values), -1, dtype=np.int64)
+    if direct is not None:
+        lo, slots = direct
+        inside = (values >= lo) & (values <= lo + len(slots) - 1)
+        ints = np.where(inside, values, lo).astype(np.int64)
+        hit = inside & (ints == values)
+        return np.where(hit, slots[ints - lo], -1)
     positions = np.minimum(np.searchsorted(domain, values), len(domain) - 1)
     return np.where(domain[positions] == values, positions, -1)
 

@@ -10,7 +10,11 @@ fails here instead of drifting.
 The second half pins the hash-join probe: a :class:`StreamingHashJoin`
 prepares its build keys once and maps every probed chunk into them, and must
 find exactly the rows the dict-based reference (``_match_via_hash_index``)
-finds.
+finds, over every shape of key domain the probe codes differently.  Its
+property test is also the deep run of CI's stress step: under ``-m stress``
+with ``ARDA_STRESS`` set it runs derandomized, ``ARDA_STRESS / 100`` times
+tier-1's example count.  Counting ``searchsorted`` calls pins which domains
+take the direct-address and dense-key paths.
 """
 
 import pickle
@@ -27,6 +31,7 @@ from aggregate_reference import (
     reference_group_by_aggregate,
 )
 from repro.core.executor import ProcessJoinExecutor
+from repro.relational import join as join_module
 from repro.relational.aggregate import (
     _Groups,
     _group_rows,
@@ -35,10 +40,16 @@ from repro.relational.aggregate import (
     is_unique_on,
 )
 from repro.relational.column import Column
-from repro.relational.join import StreamingHashJoin, _match_via_hash_index
+from repro.relational.join import (
+    _SLOT_ALLOWANCE,
+    _SLOTS_PER_VALUE,
+    StreamingHashJoin,
+    _match_via_hash_index,
+)
 from repro.relational.persist import open_chunks, write_table
 from repro.relational.schema import CATEGORICAL
 from repro.relational.table import Table
+from stress import deep_settings
 
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0]
 # group sizes on both sides of the 8-lane unroll, the 128-element leaf and
@@ -210,12 +221,63 @@ def probe_pair(left: Table, right: Table, on) -> tuple[np.ndarray, np.ndarray]:
     return joiner.probe_chunk(left), reference
 
 
-def random_side(rng, n: int, name: str) -> Table:
-    numeric = rng.choice(np.array([0.0, -0.0, 1.0, 2.0, -np.inf, np.inf, np.nan]), size=n)
+# numeric build-key domains the probe codes differently: by direct address
+# (contiguous, holes within the slot bound, integers just below 2**53) or
+# with searchsorted (holes just past that bound, a non-integral value beside
+# integral ones, integers reaching 2**53, infinities)
+DOMAIN_SHAPES = ["contiguous", "holes", "past-bound", "fractional", "near-2**53", "infinite"]
+SPECIAL_KEYS = np.array([0.0, -0.0, 1.0, 2.0, -np.inf, np.inf])
+
+
+def key_domain(rng, shape: str) -> np.ndarray:
+    """Distinct numeric key values of one domain shape, sorted."""
+    size = int(rng.integers(2, 10))
+    start = float(rng.integers(-20, 20))
+    if shape == "contiguous":
+        return start + np.arange(size)
+    if shape in ("holes", "past-bound"):
+        slots = _SLOTS_PER_VALUE * size + _SLOT_ALLOWANCE + (shape == "past-bound")
+        inner = rng.choice(np.arange(1, slots - 1), size=size - 2, replace=False)
+        return start + np.sort(np.concatenate([[0, slots - 1], inner]))
+    if shape == "fractional":
+        values = start + np.arange(size)
+        values[rng.integers(size)] += 0.5
+        return values
+    if shape == "near-2**53":
+        top = 2.0**53 - rng.integers(0, 2)
+        return np.sort(rng.choice([-1.0, 1.0]) * (top - np.arange(size)))
+    return SPECIAL_KEYS
+
+
+def probe_values(domain: np.ndarray) -> np.ndarray:
+    """What a probe may hold against ``domain``: its values, near misses,
+    values out of its range, and NaN, ±inf and ±0."""
+    finite = domain[np.isfinite(domain)]
+    near = [finite - 0.5, finite + 0.5, finite * (1 + 1e-12), finite * (1 - 1e-12)]
+    outside = [finite.min() - 1, finite.max() + 1, finite.min() - 1e6, finite.max() + 1e6]
+    return np.concatenate([domain, *near, outside, [np.nan, np.inf, -np.inf, 0.0, -0.0]])
+
+
+def random_side(
+    rng, n: int, name: str, values: np.ndarray = SPECIAL_KEYS, covering: bool = False
+) -> Table:
+    """``n`` rows: a numeric key ``k`` drawn from ``values`` (about a fifth
+    missing), a second numeric key ``g``, a categorical label ``c`` and the
+    key's text ``s``.  A covering side first holds every ``(value, g)`` pair
+    for ``g`` in {0, 1} and draws ``g`` from them, so its ``k`` domain is
+    exactly ``values`` and ``(k, g)`` is a dense composite key; any other
+    side draws ``g`` from {0, 1, 2}."""
+    numeric = rng.choice(values, size=n)
+    numeric[rng.random(n) < 0.2] = np.nan
+    second = rng.integers(0, 2 if covering else 3, size=n).astype(np.float64)
+    if covering:
+        numeric = np.concatenate([np.repeat(values, 2), numeric])
+        second = np.concatenate([np.tile([0.0, 1.0], len(values)), second])
+    n = len(numeric)
     labels = np.array([f"g{i}" for i in rng.integers(0, 4, size=n)], dtype=object)
     labels[rng.random(n) < 0.2] = None
     return Table.from_dict(
-        {"k": numeric, "c": labels, "s": [f"{v}" for v in numeric]},
+        {"k": numeric, "g": second, "c": labels, "s": [f"{v}" for v in numeric]},
         types={"c": CATEGORICAL, "s": CATEGORICAL},
         name=name,
     )
@@ -225,15 +287,39 @@ def _probe_in_worker(joiner: StreamingHashJoin, left: Table) -> np.ndarray:
     return joiner.probe_chunk(left)
 
 
+class SearchsortedCounter:
+    """numpy as :mod:`repro.relational.join` sees it, counting ``searchsorted``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def searchsorted(self, *args, **kwargs):
+        self.calls += 1
+        return np.searchsorted(*args, **kwargs)
+
+
 class TestPreparedProbe:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(0, 40))
-    def test_matches_hash_index_reference(self, seed, n_left, n_right):
+    @pytest.mark.stress
+    @deep_settings(40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.integers(0, 40),
+        st.sampled_from(DOMAIN_SHAPES),
+    )
+    def test_matches_hash_index_reference(self, seed, n_left, n_right, shape):
         rng = np.random.default_rng(seed)
-        left, right = random_side(rng, n_left, "l"), random_side(rng, n_right, "r")
+        domain = key_domain(rng, shape)
+        left = random_side(rng, n_left, "l", probe_values(domain))
+        # an infinite-shape build side is drawn at random, empty ones included
+        right = random_side(rng, n_right, "r", domain, covering=shape != "infinite")
         for on in (
             [("k", "k")],
             [("c", "c")],
+            [("k", "k"), ("g", "g")],  # dense when the build side covers its domain
             [("k", "k"), ("c", "c")],
             [("c", "c"), ("k", "k"), ("s", "s")],
             [("k", "s")],  # numeric against categorical: never matches
@@ -241,6 +327,69 @@ class TestPreparedProbe:
         ):
             fast, reference = probe_pair(left, right, on)
             assert np.array_equal(fast, reference), on
+
+    @pytest.mark.parametrize(
+        "keys, on, searches",
+        [
+            # one key column: its packed key is its position, and a
+            # contiguous integer domain is addressed directly
+            pytest.param({"k": np.arange(100.0)}, [("k", "k")], 0, id="contiguous"),
+            pytest.param({"k": np.arange(100.0) * 10_000}, [("k", "k")], 1, id="sparse"),
+            pytest.param({"k": np.arange(100.0) + 0.5}, [("k", "k")], 1, id="non-integral"),
+            pytest.param({"c": [f"v{i}" for i in range(100)]}, [("c", "c")], 0, id="categorical"),
+            # every (k, g) pair occurs: the packed keys are dense too
+            pytest.param(
+                {"k": np.repeat(np.arange(50.0), 2), "g": np.tile([0.0, 1.0], 50)},
+                [("k", "k"), ("g", "g")],
+                0,
+                id="dense-pair",
+            ),
+            pytest.param(
+                {"k": np.repeat(np.arange(50.0) * 1e6, 2), "g": np.tile([0.0, 1.0], 50)},
+                [("k", "k"), ("g", "g")],
+                1,
+                id="dense-pair-one-sparse",
+            ),
+            pytest.param(
+                {"k": np.repeat(np.arange(50.0) + 0.5, 2), "g": np.tile([0.5, 1.5], 50)},
+                [("k", "k"), ("g", "g")],
+                2,
+                id="dense-pair-non-integral",
+            ),
+            # half the pairs are absent: one search of the packed keys
+            pytest.param(
+                {"k": np.arange(100.0), "g": np.arange(100.0) % 2},
+                [("k", "k"), ("g", "g")],
+                1,
+                id="sparse-pairs",
+            ),
+            pytest.param(
+                {"k": np.arange(100.0) * 1e6, "g": np.arange(100.0) % 2},
+                [("k", "k"), ("g", "g")],
+                2,
+                id="sparse-pairs-one-sparse",
+            ),
+        ],
+    )
+    def test_searches_only_domains_without_a_direct_address(
+        self, monkeypatch, keys, on, searches
+    ):
+        rng = np.random.default_rng(3)
+        right = Table.from_dict(
+            {**keys, "v": rng.normal(size=100)}, types={"c": CATEGORICAL}, name="r"
+        )
+        left = right.take(rng.integers(0, 100, size=300))
+        joiner = StreamingHashJoin(right, on, left.schema(), aggregate_duplicates=False)
+        joiner.build_keys  # prepared outside the count
+        counter = SearchsortedCounter()
+        monkeypatch.setattr(join_module, "np", counter)
+        fast = joiner.probe_chunk(left)
+        monkeypatch.undo()
+        assert counter.calls == searches
+        reference = _match_via_hash_index(
+            [left.column(a) for a, _ in on], [right.column(b) for _, b in on]
+        )
+        assert np.array_equal(fast, reference)
 
     def test_signed_zero_and_missing_keys(self):
         left = Table.from_dict({"k": [-0.0, 0.0, np.nan, 1.0]}, name="l")

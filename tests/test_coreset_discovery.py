@@ -1,5 +1,7 @@
 """Tests for coreset construction and join discovery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from repro.discovery import (
     profile_column,
     profile_table,
 )
+from repro.discovery.minhash import _GOLDEN, _splitmix64
 from repro.relational import Table
 from repro.relational.column import Column
 
@@ -111,7 +114,46 @@ class TestSketch:
         assert len(y_small) == 80
 
 
+def _stable_hash(value: str, seed: int) -> int:
+    """Deterministic 64-bit hash of a string under a seed."""
+    digest = hashlib.blake2b(
+        value.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little")
+    ).digest()
+    return int.from_bytes(digest, "little")
+
+
+def reference_signature(values, num_hashes: int) -> np.ndarray:
+    """The MinHash signature, one value at a time: each value's text hashed
+    with a fresh keyed blake2b, mixed with every per-function seed."""
+    seeds = _splitmix64(_splitmix64(np.arange(1, num_hashes + 1, dtype=np.uint64) * _GOLDEN))
+    signature = np.full(num_hashes, np.iinfo(np.uint64).max, dtype=np.uint64)
+    for value in values:
+        if value is not None:
+            base = np.full(num_hashes, _stable_hash(str(value), 0), dtype=np.uint64)
+            with np.errstate(over="ignore"):
+                signature = np.minimum(signature, _splitmix64(base ^ seeds))
+    return signature
+
+
 class TestMinHash:
+    def test_signature_bytes_match_the_per_value_reference(self):
+        # signatures persist in profile sidecars: the hash definition is fixed
+        values = ["key", "Zürich", "東京", "", "🙂", "key", None, 3, 2.5]
+        values += [f"{v:.6g}" for v in (0.0, -0.0, 1e-7, 123456789.0, -2.5, 1 / 3)]
+        for num_hashes in (1, 16, 64):
+            signature = MinHashSignature(values, num_hashes=num_hashes)
+            expected = reference_signature(values, num_hashes)
+            assert signature.signature.tobytes() == expected.tobytes()
+        assert signature.set_size == len({str(v) for v in values if v is not None})
+        empty = MinHashSignature([None], num_hashes=8)
+        assert empty.signature.tobytes() == reference_signature([], 8).tobytes()
+
+    def test_numeric_profiles_hash_their_formatted_values(self):
+        values = [3.0, -0.0, 1e-7, 2.5, 3.0, None, 123456789.0, 1 / 3]
+        profile = profile_column("t", Column.numeric("x", values))
+        formatted = [f"{float(v):.6g}" for v in values if v is not None]
+        assert profile.minhash.signature.tobytes() == reference_signature(formatted, 64).tobytes()
+
     def test_identical_sets_have_jaccard_one(self):
         values = [f"v{i}" for i in range(50)]
         assert jaccard_estimate(values, values) == 1.0
