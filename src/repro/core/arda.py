@@ -254,22 +254,15 @@ class ARDA:
 
                 imputed = impute_table(joined, seed=config.random_state)
                 X, y, encoding = to_design_matrix(
-                    imputed,
-                    target,
-                    max_categories=config.max_categories,
-                    seed=config.random_state,
+                    imputed, target, max_categories=config.max_categories
                 )
                 foreign_set = set(foreign_columns)
                 selection_start = time.perf_counter()
                 if share_binned:
-                    # the table is imputed two lines up, so the binning pass
-                    # skips its own (idempotent) imputation
                     binned = encode_features_binned(
                         imputed,
                         exclude=[target],
                         max_categories=config.max_categories,
-                        impute=False,
-                        seed=config.random_state,
                         max_bins=config.max_bins,
                     )
                     result = selector.select(
@@ -343,10 +336,9 @@ class ARDA:
         pipeline = None
         has_features = any(name != target for name in augmented_full.column_names)
         if config.capture_pipeline and has_features:
-            # the capture path fits imputer/encoder through the serving
-            # kernels, which reproduce impute_table + to_design_matrix
-            # byte-for-byte — the holdout score below is therefore identical
-            # to the pre-capture _final_score(augmented_full, ...) result
+            # impute_table + to_design_matrix return what FittedImputer.fit +
+            # FittedEncoder.fit return, so the holdout score below equals
+            # _final_score(augmented_full, ...)
             from repro.serving.pipeline import fit_pipeline_from_training
 
             pipeline, X_full, y_full = fit_pipeline_from_training(
@@ -657,7 +649,6 @@ class ARDA:
             impute_table(table, seed=self.config.random_state),
             target,
             max_categories=self.config.max_categories,
-            seed=self.config.random_state,
         )
         return holdout_score(
             X,

@@ -103,7 +103,6 @@ def materialize_full_join(
         impute_table(joined, seed=random_state),
         dataset.target,
         max_categories=max_categories,
-        seed=random_state,
     )
     return X, y, encoding.feature_names, encoding.source_columns
 
@@ -175,9 +174,7 @@ def evaluate_base_table(
 ) -> EvaluationRecord:
     """Score a model trained on the base table only (the paper's baseline row)."""
     X, y, _encoding = to_design_matrix(
-        impute_table(dataset.base_table, seed=random_state),
-        dataset.target,
-        seed=random_state,
+        impute_table(dataset.base_table, seed=random_state), dataset.target
     )
     if dataset.task == CLASSIFICATION:
         score = classification_accuracy(X, y, random_state=random_state)

@@ -129,9 +129,7 @@ def experiment_figure3_augmentation(
         if include_automl:
             task = "classification" if dataset.task == CLASSIFICATION else "regression"
             X_base, y_base, _enc = to_design_matrix(
-                impute_table(dataset.base_table, seed=random_state),
-                dataset.target,
-                seed=random_state,
+                impute_table(dataset.base_table, seed=random_state), dataset.target
             )
             for label, X_fit, y_fit in (
                 ("AutoML (base)", X_base, y_base),
@@ -365,9 +363,7 @@ def experiment_figure5_soft_joins(
                 rng=np.random.default_rng(random_state),
             )
             X, y, _encoding = to_design_matrix(
-                impute_table(joined, seed=random_state),
-                dataset.target,
-                seed=random_state,
+                impute_table(joined, seed=random_state), dataset.target
             )
             for method in selectors:
                 record = evaluate_selector_on_matrix(

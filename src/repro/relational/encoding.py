@@ -4,25 +4,29 @@ ARDA binarises categorical features into one-hot indicator columns (so the
 result is amenable to sketching and to the linear models in the ranking
 ensemble) and leaves numeric / datetime / boolean columns as-is.
 
-Three sibling entry points share the same per-column kernels:
+One implementation serves training and serving:
 
-* :func:`encode_features` / :func:`to_design_matrix` — the float design
-  matrix used by selection search loops and exact-kernel estimators.
-* :func:`encode_features_binned` / :func:`to_binned_matrix` — the quantised
-  :class:`~repro.ml.binning.BinnedMatrix` consumed by histogram-kernel
-  estimators (``selector.select(..., binned=...)``); byte-identical feature
-  layout and bins to quantising the float matrix, computed straight from
-  dictionary codes.
-* :class:`FittedEncoder` — the serving path: :meth:`FittedEncoder.fit`
-  records each column's encoding decision (one-hot category list, per-value
-  frequency table) and :meth:`FittedEncoder.transform` replays it on unseen
-  rows through the *same* one-hot / frequency kernels, so transform of the
-  training table reproduces the training matrix byte-for-byte while unseen
-  categories encode as all-zero indicators / zero frequency.
+* :class:`FittedEncoder` — :meth:`FittedEncoder.fit` records each column's
+  encoding decision (one-hot category list, per-value frequency table) and
+  produces its matrix through :meth:`FittedEncoder.transform`, which replays
+  the decisions on unseen rows: unseen categories encode as all-zero
+  indicators / zero frequency.  :func:`_column_state` is the only place the
+  one-hot-or-frequency decision is made.
+* :func:`encode_features` / :func:`to_design_matrix` — the training float
+  design matrix: the decisions ``fit`` records, encoded by the kernel
+  ``transform`` runs.
+* :func:`encode_features_binned` / :func:`to_binned_matrix` — the same
+  decisions quantised into a :class:`~repro.ml.binning.BinnedMatrix`
+  consumed by histogram-kernel estimators (``selector.select(...,
+  binned=...)``); byte-identical feature layout and bins to quantising the
+  float matrix, computed straight from dictionary codes.
 
-Determinism contract: encoding consumes no RNG draws itself (the ``seed``
-parameters only feed the optional imputation pass); every function leaves its
-input table untouched and returns fresh arrays.
+Encoding never imputes: callers impute first (see
+:mod:`repro.relational.imputation`), and a value still missing encodes as
+0.0 — an all-zero indicator row, a zero frequency, or 0.0 for a numeric NaN.
+
+Determinism contract: encoding consumes no RNG draws; every function leaves
+its input table untouched and returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from repro.ml.binning import (
     check_max_bins,
 )
 from repro.relational.column import Column
-from repro.relational.imputation import impute_table
 from repro.relational.schema import CATEGORICAL
 from repro.relational.table import Table
 
@@ -68,41 +71,68 @@ class EncodedMatrix:
         return [i for i, s in enumerate(self.source_columns) if s == source]
 
 
-def encode_features(
-    table: Table,
-    exclude: Sequence[str] = (),
-    max_categories: int = 20,
-    impute: bool = True,
-    seed: int = 0,
-) -> EncodedMatrix:
-    """Encode every column except ``exclude`` into a float matrix.
+# -- per-column decisions ------------------------------------------------------
+
+
+@dataclass
+class ColumnEncoderState:
+    """The fitted encoding decision of one table column.
+
+    ``kind`` is ``"numeric"`` (pass-through), ``"onehot"`` (indicator per
+    fit-time category, in fit-time order) or ``"frequency"`` (each value
+    replaced by its fit-time relative frequency; unseen values read 0.0).
+    A frequency state keeps the fit-time dictionary itself as
+    ``frequency_values``, with ``frequencies`` aligned to its codes.
+    """
+
+    name: str
+    kind: str
+    feature_names: list[str]
+    categories: list[str] | None = None
+    frequency_values: np.ndarray | None = None
+    frequencies: np.ndarray | None = None
+
+
+def _column_state(col: Column, max_categories: int) -> ColumnEncoderState:
+    """Decide how one column encodes.
 
     Categorical columns with at most ``max_categories`` distinct values are
-    one-hot encoded; higher-cardinality categorical columns are frequency
-    encoded (each value replaced by its relative frequency) to avoid blowing up
-    the feature count.  Missing values are imputed first when ``impute`` is
-    True, otherwise NaNs are replaced by 0 after encoding.
+    one-hot encoded; higher-cardinality (or all-missing) categorical columns
+    are frequency encoded (each value replaced by its relative frequency) to
+    avoid blowing up the feature count.  Other columns pass through.
     """
-    exclude_set = set(exclude)
-    work = table.drop([c for c in exclude if c in table.column_names]) if exclude_set else table
-    if impute:
-        work = impute_table(work, seed=seed)
+    if col.ctype is not CATEGORICAL:
+        return ColumnEncoderState(name=col.name, kind="numeric", feature_names=[col.name])
+    categories = col.unique()
+    if 0 < len(categories) <= max_categories:
+        return ColumnEncoderState(
+            name=col.name,
+            kind="onehot",
+            feature_names=[f"{col.name}={cat}" for cat in categories],
+            categories=categories,
+        )
+    return ColumnEncoderState(
+        name=col.name,
+        kind="frequency",
+        feature_names=[f"{col.name}__freq"],
+        frequency_values=col.dictionary,
+        frequencies=_frequency_per_code(col)[: len(col.dictionary)],
+    )
 
-    blocks: list[np.ndarray] = []
-    feature_names: list[str] = []
-    source_columns: list[str] = []
-    n = work.num_rows
-    for col in work.columns():
-        if col.ctype is CATEGORICAL:
-            block, names = _encode_categorical(col, max_categories)
-        else:
-            block = _numeric_block(col)
-            names = [col.name]
-        blocks.append(block)
-        feature_names.extend(names)
-        source_columns.extend([col.name] * block.shape[1])
-    matrix = _assemble_matrix(blocks, n)
-    return EncodedMatrix(matrix=matrix, feature_names=feature_names, source_columns=source_columns)
+
+def _column_states(
+    table: Table, exclude: Sequence[str], max_categories: int
+) -> list[ColumnEncoderState]:
+    """The decision of every column not in ``exclude``, in table order."""
+    exclude_set = set(exclude)
+    return [
+        _column_state(col, max_categories)
+        for col in table.columns()
+        if col.name not in exclude_set
+    ]
+
+
+# -- kernels -------------------------------------------------------------------
 
 
 def _numeric_block(col: Column) -> np.ndarray:
@@ -111,11 +141,7 @@ def _numeric_block(col: Column) -> np.ndarray:
 
 
 def _assemble_matrix(blocks: list[np.ndarray], n: int) -> np.ndarray:
-    """Stack per-column blocks and sanitise non-finite values to zero.
-
-    Shared by the training and fitted paths so both produce the exact same
-    float stream for the same blocks.
-    """
+    """Stack per-column blocks and sanitise non-finite values to zero."""
     if blocks:
         matrix = np.column_stack(blocks)
     else:
@@ -148,11 +174,24 @@ def _frequency_per_code(col: Column) -> np.ndarray:
     return counts / max(len(codes), 1)
 
 
+def _state_frequencies(col: Column, state: ColumnEncoderState) -> np.ndarray:
+    """A frequency state's per-code frequencies on ``col``'s dictionary.
+
+    Carries the trailing 0.0 slot :func:`_frequency_block` expects.  A column
+    that shares the fit-time dictionary (the fitted table itself, its row
+    slices and imputed copies) indexes the fit-time frequencies directly;
+    any other dictionary takes the per-value remap.
+    """
+    if state.frequency_values is col.dictionary:
+        return np.append(state.frequencies, 0.0)
+    return FittedEncoder._remap_frequencies(col, state)
+
+
 def _one_hot_block(col: Column, categories: list) -> np.ndarray:
     """The one-hot indicator block for an explicit category list.
 
-    Shared by the training and fitted paths: values outside ``categories``
-    (including fit-time-unseen dictionary entries) produce all-zero rows.
+    Values outside ``categories`` (including fit-time-unseen dictionary
+    entries) produce all-zero rows.
     """
     columns = _one_hot_positions(col, categories)
     block = np.zeros((len(columns), len(categories)), dtype=np.float64)
@@ -165,181 +204,13 @@ def _frequency_block(col: Column, frequency_per_code: np.ndarray) -> np.ndarray:
     """The frequency column for a per-code frequency array (one row gather).
 
     ``frequency_per_code`` must carry a trailing 0.0 slot so code ``-1``
-    (missing) reads zero.  Shared by the training path (frequencies of the
-    column itself) and the fitted path (fit-time frequencies remapped onto
-    the input's dictionary).
+    (missing) reads zero.
     """
     n = len(col.codes)
     return frequency_per_code[col.codes].reshape(n, 1).astype(np.float64)
 
 
-def _encode_categorical(col: Column, max_categories: int) -> tuple[np.ndarray, list[str]]:
-    """One-hot or frequency encode a categorical column (codes end to end)."""
-    categories = col.unique()
-    if 0 < len(categories) <= max_categories:
-        block = _one_hot_block(col, categories)
-        names = [f"{col.name}={cat}" for cat in categories]
-        return block, names
-    # frequency encoding for high-cardinality (or all-missing) columns
-    return _frequency_block(col, _frequency_per_code(col)), [f"{col.name}__freq"]
-
-
-def to_design_matrix(
-    table: Table,
-    target: str,
-    exclude: Sequence[str] = (),
-    max_categories: int = 20,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, EncodedMatrix]:
-    """Split a table into ``(X, y, encoding)`` for model training.
-
-    The target column is returned as a float vector for regression targets and
-    as integer class codes for categorical targets.
-    """
-    target_col = table.column(target)
-    y = encode_target(target_col)
-    features = encode_features(
-        table, exclude=list(exclude) + [target], max_categories=max_categories, seed=seed
-    )
-    return features.matrix, y, features
-
-
-def encode_features_binned(
-    table: Table,
-    exclude: Sequence[str] = (),
-    max_categories: int = 20,
-    impute: bool = True,
-    seed: int = 0,
-    max_bins: int = DEFAULT_MAX_BINS,
-) -> BinnedMatrix:
-    """Encode a table straight into a :class:`~repro.ml.binning.BinnedMatrix`.
-
-    Produces exactly the bins :meth:`BinnedMatrix.from_matrix` would produce
-    for :func:`encode_features`'s float matrix — same feature layout, same bin
-    codes, same bin boundaries — but categorical columns map their dictionary
-    codes directly to bin codes: the decoded row strings are never
-    materialised and (for the one-hot/frequency fast paths) neither is the
-    per-row float block.
-    """
-    max_bins = check_max_bins(max_bins)
-    exclude_set = set(exclude)
-    work = table.drop([c for c in exclude if c in table.column_names]) if exclude_set else table
-    if impute:
-        work = impute_table(work, seed=seed)
-
-    n = work.num_rows
-    blocks: list[np.ndarray] = []  # per-block uint8 code columns, shape (n, k)
-    bin_min: list[np.ndarray] = []
-    bin_max: list[np.ndarray] = []
-    feature_names: list[str] = []
-    source_columns: list[str] = []
-    for col in work.columns():
-        if col.ctype is CATEGORICAL:
-            block, mins, maxs, names = _bin_categorical(col, max_categories, max_bins)
-        else:
-            values = np.asarray(col.values, dtype=np.float64)
-            codes, col_min, col_max = bin_column(values, max_bins)
-            block, mins, maxs, names = codes.reshape(n, 1), [col_min], [col_max], [col.name]
-        blocks.append(block)
-        bin_min.extend(mins)
-        bin_max.extend(maxs)
-        feature_names.extend(names)
-        source_columns.extend([col.name] * block.shape[1])
-
-    d = len(feature_names)
-    codes = np.empty((n, d), dtype=np.uint8, order="F")
-    offset = 0
-    for block in blocks:
-        codes[:, offset : offset + block.shape[1]] = block
-        offset += block.shape[1]
-    return BinnedMatrix(codes, bin_min, bin_max, max_bins, feature_names, source_columns)
-
-
-def _bin_categorical(col: Column, max_categories: int, max_bins: int):
-    """Bin a categorical column's one-hot / frequency features from its codes."""
-    codes = col.codes
-    n = len(codes)
-    categories = col.unique()
-    if 0 < len(categories) <= max_categories:
-        columns = _one_hot_positions(col, categories)
-        block = np.empty((n, len(categories)), dtype=np.uint8)
-        mins: list[np.ndarray] = []
-        maxs: list[np.ndarray] = []
-        for j in range(len(categories)):
-            indicator = columns == j
-            ones = int(indicator.sum())
-            if 0 < ones < n:
-                # both 0.0 and 1.0 occur: two singleton bins cut at 0.5
-                block[:, j] = indicator
-                edges = np.array([0.0, 1.0])
-            else:
-                # constant column: a single bin holding its only value
-                block[:, j] = 0
-                edges = np.array([1.0 if ones else 0.0])
-            mins.append(edges)
-            maxs.append(edges)
-        names = [f"{col.name}={cat}" for cat in categories]
-        return block, mins, maxs, names
-    frequency = _frequency_per_code(col)
-    present = np.unique(codes)  # sorted; may include -1, which reads the 0.0 slot
-    distinct = np.unique(frequency[present])
-    if len(distinct) <= max_bins:
-        # map each dictionary code to its frequency's bin, then gather per row
-        cuts = (distinct[:-1] + distinct[1:]) / 2.0
-        bin_of_code = np.searchsorted(cuts, frequency, side="left").astype(np.uint8)
-        block = bin_of_code[codes].reshape(n, 1)
-        col_min, col_max = bin_value_ranges(distinct, cuts)
-    else:
-        # >max_bins distinct frequencies: quantile-bin the (numeric) row values
-        row_codes, col_min, col_max = bin_column(frequency[codes], max_bins)
-        block = row_codes.reshape(n, 1)
-    return block, [col_min], [col_max], [f"{col.name}__freq"]
-
-
-def to_binned_matrix(
-    table: Table,
-    target: str,
-    exclude: Sequence[str] = (),
-    max_categories: int = 20,
-    seed: int = 0,
-    max_bins: int = DEFAULT_MAX_BINS,
-) -> tuple[BinnedMatrix, np.ndarray]:
-    """Split a table into ``(binned_X, y)`` for histogram-kernel training.
-
-    The binned sibling of :func:`to_design_matrix`: identical feature layout
-    (``feature_names`` / ``source_columns`` ride on the returned matrix) and
-    bit-identical bins to quantising the float design matrix, without decoding
-    categorical strings.
-    """
-    y = encode_target(table.column(target))
-    binned = encode_features_binned(
-        table,
-        exclude=list(exclude) + [target],
-        max_categories=max_categories,
-        seed=seed,
-        max_bins=max_bins,
-    )
-    return binned, y
-
-
-# -- fitted replay -------------------------------------------------------------
-
-
-@dataclass
-class ColumnEncoderState:
-    """The fitted encoding decision of one table column.
-
-    ``kind`` is ``"numeric"`` (pass-through), ``"onehot"`` (indicator per
-    fit-time category, in fit-time order) or ``"frequency"`` (each value
-    replaced by its fit-time relative frequency; unseen values read 0.0).
-    """
-
-    name: str
-    kind: str
-    feature_names: list[str]
-    categories: list[str] | None = None
-    frequency_values: list[str] | None = None
-    frequencies: np.ndarray | None = None
+# -- fitted encoder ------------------------------------------------------------
 
 
 class FittedEncoder:
@@ -349,7 +220,7 @@ class FittedEncoder:
     :meth:`transform` replays the decisions on any table carrying the fitted
     feature columns, producing a matrix with the training feature layout.
     Unseen categorical values one-hot to all-zero rows and frequency-encode
-    to 0.0 — the same treatment the training kernels give unlisted values.
+    to 0.0.
     """
 
     def __init__(self, columns: list[ColumnEncoderState], max_categories: int = 20):
@@ -379,52 +250,12 @@ class FittedEncoder:
 
         ``table`` must already be imputed (see :class:`FittedImputer` in
         :mod:`repro.relational.imputation`); the returned matrix is
-        byte-identical to ``encode_features(table, exclude, max_categories,
-        impute=False)``, produced by running :meth:`transform` on the
-        recorded state.
+        :func:`encode_features`'s, produced by running :meth:`transform` on
+        the recorded state.
         """
-        exclude_set = set(exclude)
-        states: list[ColumnEncoderState] = []
-        for col in table.columns():
-            if col.name in exclude_set:
-                continue
-            if col.ctype is CATEGORICAL:
-                categories = col.unique()
-                if 0 < len(categories) <= max_categories:
-                    states.append(
-                        ColumnEncoderState(
-                            name=col.name,
-                            kind="onehot",
-                            feature_names=[f"{col.name}={cat}" for cat in categories],
-                            categories=list(categories),
-                        )
-                    )
-                else:
-                    frequency = _frequency_per_code(col)
-                    states.append(
-                        ColumnEncoderState(
-                            name=col.name,
-                            kind="frequency",
-                            feature_names=[f"{col.name}__freq"],
-                            frequency_values=list(col.dictionary),
-                            frequencies=frequency[: len(col.dictionary)].astype(
-                                np.float64
-                            ),
-                        )
-                    )
-            else:
-                states.append(
-                    ColumnEncoderState(
-                        name=col.name, kind="numeric", feature_names=[col.name]
-                    )
-                )
-        encoder = cls(states, max_categories=max_categories)
+        encoder = cls(_column_states(table, exclude, max_categories), max_categories)
         matrix = encoder.transform(table)
-        return encoder, EncodedMatrix(
-            matrix=matrix,
-            feature_names=encoder.feature_names,
-            source_columns=encoder.source_columns,
-        )
+        return encoder, EncodedMatrix(matrix, encoder.feature_names, encoder.source_columns)
 
     def transform(self, table: Table) -> np.ndarray:
         """Encode ``table`` with the fitted decisions (training feature layout).
@@ -432,13 +263,16 @@ class FittedEncoder:
         Every fitted column must be present in the input (``KeyError``
         otherwise); extra input columns — e.g. the training target riding
         along — are ignored.  The input is expected to be imputed already;
-        stray NaNs are sanitised to 0.0 exactly as the training path does.
+        stray NaNs are sanitised to 0.0.
         """
+        return self._encode(table)
+
+    def _encode(self, table: Table) -> np.ndarray:
+        """The encode kernel behind :meth:`transform` and :func:`encode_features`."""
         missing = [state.name for state in self.columns if state.name not in table]
         if missing:
             raise KeyError(f"input is missing fitted feature columns: {missing}")
         blocks: list[np.ndarray] = []
-        n = table.num_rows
         for state in self.columns:
             col = table.column(state.name)
             if state.kind == "numeric":
@@ -456,8 +290,8 @@ class FittedEncoder:
             if state.kind == "onehot":
                 blocks.append(_one_hot_block(col, state.categories))
             else:
-                blocks.append(_frequency_block(col, self._remap_frequencies(col, state)))
-        return _assemble_matrix(blocks, n)
+                blocks.append(_frequency_block(col, _state_frequencies(col, state)))
+        return _assemble_matrix(blocks, table.num_rows)
 
     @staticmethod
     def _remap_frequencies(col: Column, state: ColumnEncoderState) -> np.ndarray:
@@ -471,6 +305,143 @@ class FittedEncoder:
         for code, value in enumerate(col.dictionary):
             out[code] = mapping.get(value, 0.0)
         return out
+
+
+# -- training entry points -----------------------------------------------------
+
+
+def encode_features(
+    table: Table,
+    exclude: Sequence[str] = (),
+    max_categories: int = 20,
+) -> EncodedMatrix:
+    """Encode every column except ``exclude`` into a float matrix.
+
+    Returns the matrix :meth:`FittedEncoder.fit` would, without keeping the
+    encoder.  The encode kernel is called directly rather than through
+    :meth:`FittedEncoder.transform`, so a tracer that wraps both sees one
+    encode per call.
+    """
+    encoder = FittedEncoder(_column_states(table, exclude, max_categories), max_categories)
+    matrix = encoder._encode(table)
+    return EncodedMatrix(matrix, encoder.feature_names, encoder.source_columns)
+
+
+def to_design_matrix(
+    table: Table,
+    target: str,
+    max_categories: int = 20,
+) -> tuple[np.ndarray, np.ndarray, EncodedMatrix]:
+    """Split a table into ``(X, y, encoding)`` for model training.
+
+    The target column is returned as a float vector for regression targets and
+    as integer class codes for categorical targets.
+    """
+    y = encode_target(table.column(target))
+    features = encode_features(table, exclude=[target], max_categories=max_categories)
+    return features.matrix, y, features
+
+
+def encode_features_binned(
+    table: Table,
+    exclude: Sequence[str] = (),
+    max_categories: int = 20,
+    max_bins: int = DEFAULT_MAX_BINS,
+) -> BinnedMatrix:
+    """Encode a table straight into a :class:`~repro.ml.binning.BinnedMatrix`.
+
+    Produces exactly the bins :meth:`BinnedMatrix.from_matrix` would produce
+    for :func:`encode_features`'s float matrix — same feature layout, same bin
+    codes, same bin boundaries — but categorical columns map their dictionary
+    codes directly to bin codes: the decoded row strings are never
+    materialised and (for the one-hot/frequency fast paths) neither is the
+    per-row float block.
+    """
+    max_bins = check_max_bins(max_bins)
+    encoder = FittedEncoder(_column_states(table, exclude, max_categories), max_categories)
+    n = table.num_rows
+    blocks: list[np.ndarray] = []  # per-block uint8 code columns, shape (n, k)
+    bin_min: list[np.ndarray] = []
+    bin_max: list[np.ndarray] = []
+    for state in encoder.columns:
+        col = table.column(state.name)
+        if state.kind == "numeric":
+            values = np.asarray(col.values, dtype=np.float64)
+            codes, col_min, col_max = bin_column(values, max_bins)
+            block, mins, maxs = codes.reshape(n, 1), [col_min], [col_max]
+        else:
+            block, mins, maxs = _bin_categorical(col, state, max_bins)
+        blocks.append(block)
+        bin_min.extend(mins)
+        bin_max.extend(maxs)
+
+    codes = np.empty((n, len(bin_min)), dtype=np.uint8, order="F")
+    offset = 0
+    for block in blocks:
+        codes[:, offset : offset + block.shape[1]] = block
+        offset += block.shape[1]
+    return BinnedMatrix(
+        codes, bin_min, bin_max, max_bins, encoder.feature_names, encoder.source_columns
+    )
+
+
+def _bin_categorical(col: Column, state: ColumnEncoderState, max_bins: int):
+    """Bin a categorical column's one-hot / frequency features from its codes."""
+    codes = col.codes
+    n = len(codes)
+    if state.kind == "onehot":
+        columns = _one_hot_positions(col, state.categories)
+        block = np.empty((n, len(state.categories)), dtype=np.uint8)
+        mins: list[np.ndarray] = []
+        maxs: list[np.ndarray] = []
+        for j in range(len(state.categories)):
+            indicator = columns == j
+            ones = int(indicator.sum())
+            if 0 < ones < n:
+                # both 0.0 and 1.0 occur: two singleton bins cut at 0.5
+                block[:, j] = indicator
+                edges = np.array([0.0, 1.0])
+            else:
+                # constant column: a single bin holding its only value
+                block[:, j] = 0
+                edges = np.array([1.0 if ones else 0.0])
+            mins.append(edges)
+            maxs.append(edges)
+        return block, mins, maxs
+    frequency = _state_frequencies(col, state)
+    present = np.unique(codes)  # sorted; may include -1, which reads the 0.0 slot
+    distinct = np.unique(frequency[present])
+    if len(distinct) <= max_bins:
+        # map each dictionary code to its frequency's bin, then gather per row
+        cuts = (distinct[:-1] + distinct[1:]) / 2.0
+        bin_of_code = np.searchsorted(cuts, frequency, side="left").astype(np.uint8)
+        block = bin_of_code[codes].reshape(n, 1)
+        col_min, col_max = bin_value_ranges(distinct, cuts)
+    else:
+        # >max_bins distinct frequencies: quantile-bin the (numeric) row values
+        row_codes, col_min, col_max = bin_column(frequency[codes], max_bins)
+        block = row_codes.reshape(n, 1)
+    return block, [col_min], [col_max]
+
+
+def to_binned_matrix(
+    table: Table,
+    target: str,
+    max_categories: int = 20,
+    max_bins: int = DEFAULT_MAX_BINS,
+) -> tuple[BinnedMatrix, np.ndarray]:
+    """Split a table into ``(binned_X, y)`` for histogram-kernel training.
+
+    The binned sibling of :func:`to_design_matrix`: identical feature layout
+    (``feature_names`` / ``source_columns`` ride on the returned matrix) and
+    bit-identical bins to quantising the float design matrix, without decoding
+    categorical strings.
+    """
+    y = encode_target(table.column(target))
+    binned = encode_features_binned(
+        table, exclude=[target], max_categories=max_categories, max_bins=max_bins
+    )
+    return binned, y
 
 
 def encode_target(column: Column) -> np.ndarray:

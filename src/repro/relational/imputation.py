@@ -1,21 +1,18 @@
-"""Missing-value imputation: one-shot training kernels and fitted replay.
+"""Missing-value imputation: one fitted implementation for training and serving.
 
 ARDA uses deliberately simple imputation to keep the end-to-end runtime low
 (paper section 4, "Imputation"): numeric columns get their median, categorical
 columns get a uniform random sample of the observed values.
 
-Two entry points share the same kernels:
-
-* :func:`impute_table` — the training path: every column is imputed from its
-  *own* statistics (median of its observed values / samples of its observed
-  codes).
-* :class:`FittedImputer` — the serving path: :meth:`FittedImputer.fit`
-  records each column's statistics while producing the imputed training
-  table, and :meth:`FittedImputer.transform` replays them on unseen rows.
-  Because fit and transform run the identical kernels and consume the RNG
-  stream identically (one ``rng.integers`` draw per categorical column that
-  has missing entries, in table column order), ``transform`` applied to the
-  training table reproduces the training imputation byte-for-byte.
+:class:`FittedImputer` is the implementation.  :meth:`FittedImputer.fit`
+imputes every column from its *own* statistics (median of its observed values
+/ samples of its observed codes) while recording them, and
+:meth:`FittedImputer.transform` replays them on unseen rows.  Fit and
+transform run the identical kernels and consume the RNG stream identically
+(one ``rng.integers`` draw per categorical column that has missing entries,
+in table column order), so ``transform`` applied to the training table
+reproduces the training imputation byte-for-byte.  :func:`impute_table` is
+the training entry point: the imputed table ``fit`` returns.
 
 Determinism contract: all randomness comes from a single
 ``np.random.default_rng(seed)`` consumed in table column order.  Numeric
@@ -35,7 +32,7 @@ from repro.relational.table import Table
 _MISSING_PLACEHOLDER = "__missing__"
 
 
-# -- shared kernels ------------------------------------------------------------
+# -- kernels -------------------------------------------------------------------
 
 
 def _apply_numeric_fill(column: Column, fill: float) -> Column:
@@ -65,9 +62,9 @@ def _apply_categorical_fill(
     to sample — downstream encoding still gets a constant feature).
 
     Consumes exactly one ``rng.integers`` draw when the input has missing
-    entries and the observed set is non-empty, and none otherwise — the same
-    stream the training path consumes, which is what makes fitted replay on
-    the training table byte-identical.
+    entries and the observed set is non-empty, and none otherwise, in fit and
+    transform alike, which is what makes transform of the training table
+    byte-identical to fit.
     """
     codes = column.codes
     mask = codes < 0
@@ -105,55 +102,7 @@ def _apply_categorical_fill(
     return Column.from_codes(column.name, out, np.array(dictionary, dtype=object))
 
 
-# -- training path -------------------------------------------------------------
-
-
-def impute_numeric_median(column: Column) -> Column:
-    """Replace NaNs with the column median (0.0 if the column is all-missing)."""
-    values = column.values
-    mask = np.isnan(values)
-    if not mask.any():
-        return column
-    observed = values[~mask]
-    fill = float(np.median(observed)) if len(observed) else 0.0
-    return _apply_numeric_fill(column, fill)
-
-
-def impute_categorical_random(
-    column: Column, rng: np.random.Generator | None = None
-) -> Column:
-    """Replace missing categorical values with uniform samples of observed ones.
-
-    Runs entirely on the dictionary codes: the observed codes are sampled in
-    row order (so the draws match the old object-array path exactly) and the
-    dictionary is shared with the input column.
-
-    If every value is missing, the placeholder string ``"__missing__"`` is
-    used so downstream encoding still produces a (constant) feature.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    codes = column.codes
-    observed = codes[codes >= 0]
-    return _apply_categorical_fill(column, observed, column.dictionary, rng)
-
-
-def impute_table(
-    table: Table, rng: np.random.Generator | None = None, seed: int = 0
-) -> Table:
-    """Impute every column of a table (median / uniform random sampling)."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    columns = []
-    for col in table.columns():
-        if col.ctype is CATEGORICAL:
-            columns.append(impute_categorical_random(col, rng))
-        else:
-            columns.append(impute_numeric_median(col))
-    return Table(columns, name=table.name)
-
-
-# -- fitted replay -------------------------------------------------------------
+# -- fitted imputer ------------------------------------------------------------
 
 
 @dataclass
@@ -193,36 +142,30 @@ class FittedImputer:
     def fit(cls, table: Table, seed: int = 0) -> tuple["FittedImputer", Table]:
         """Record every column's statistics and return the imputed table.
 
-        The returned table is byte-identical to ``impute_table(table, seed=seed)``:
-        fit runs the same kernels with the same RNG stream while recording the
-        statistics it used.
+        The table is imputed by the kernel :meth:`transform` runs, from the
+        statistics just recorded: numeric columns get the median of their
+        observed values (0.0 when none is observed), categorical columns
+        uniform samples of their observed codes.
         """
-        rng = np.random.default_rng(seed)
         states: list[ColumnImputeState] = []
-        columns: list[Column] = []
         for col in table.columns():
             if col.ctype is CATEGORICAL:
                 codes = col.codes
-                observed = codes[codes >= 0].copy()
                 states.append(
                     ColumnImputeState(
                         name=col.name,
                         kind="categorical",
-                        observed_codes=observed,
+                        observed_codes=codes[codes >= 0],
                         dictionary=col.dictionary,
                     )
                 )
-                columns.append(
-                    _apply_categorical_fill(col, observed, col.dictionary, rng)
-                )
             else:
                 values = col.values
-                mask = np.isnan(values)
-                observed_values = values[~mask]
-                fill = float(np.median(observed_values)) if len(observed_values) else 0.0
+                observed = values[~np.isnan(values)]
+                fill = float(np.median(observed)) if len(observed) else 0.0
                 states.append(ColumnImputeState(name=col.name, kind="numeric", fill=fill))
-                columns.append(_apply_numeric_fill(col, fill))
-        return cls(states, seed=seed), Table(columns, name=table.name)
+        imputer = cls(states, seed=seed)
+        return imputer, imputer._impute(table)
 
     def transform(self, table: Table) -> Table:
         """Impute ``table`` with the fitted statistics.
@@ -231,6 +174,14 @@ class FittedImputer:
         skipping fitted columns absent from the input.  Input columns that
         were never fitted raise ``KeyError`` — silently passing them through
         would let un-imputed NaNs reach the encoder.
+        """
+        return self._impute(table)
+
+    def _impute(self, table: Table) -> Table:
+        """The imputation kernel behind :meth:`fit` and :meth:`transform`.
+
+        ``fit`` calls it directly rather than through ``transform``, so a
+        tracer that wraps ``transform`` sees replays only.
         """
         unknown = [name for name in table.column_names if name not in self._by_name]
         if unknown:
@@ -259,6 +210,11 @@ class FittedImputer:
                     )
                 columns.append(_apply_numeric_fill(col, state.fill))
         return Table(columns, name=table.name)
+
+
+def impute_table(table: Table, seed: int = 0) -> Table:
+    """Training imputation: the imputed table :meth:`FittedImputer.fit` returns."""
+    return FittedImputer.fit(table, seed=seed)[1]
 
 
 def missing_fraction(table: Table) -> dict[str, float]:

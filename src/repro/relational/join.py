@@ -1012,16 +1012,11 @@ def _key_hash_tokens(column: Column) -> np.ndarray:
     must still land in exactly one partition.
     """
     if column.ctype is CATEGORICAL:
-        entry_hash = np.array(
-            [
-                int.from_bytes(
-                    blake2b(str(text).encode("utf-8"), digest_size=8).digest(),
-                    "little",
-                )
-                for text in column.dictionary
-            ],
-            dtype=np.uint64,
+        digests = b"".join(
+            blake2b(str(text).encode("utf-8"), digest_size=8).digest()
+            for text in column.dictionary
         )
+        entry_hash = np.frombuffer(digests, dtype="<u8")
         codes = column.codes
         tokens = np.full(len(codes), _HASH_MISSING, dtype=np.uint64)
         valid = codes >= 0

@@ -658,7 +658,7 @@ class FittedPipeline:
             if state.kind == "onehot":
                 state.categories = list(col_doc["categories"])
             elif state.kind == "frequency":
-                state.frequency_values = list(col_doc["frequency_values"])
+                state.frequency_values = np.array(col_doc["frequency_values"], dtype=object)
                 state.frequencies = np.asarray(
                     arrays[f"encoder/{i}/frequencies"], dtype=np.float64
                 )

@@ -27,6 +27,7 @@ from repro.relational.encoding import (
     to_binned_matrix,
     to_design_matrix,
 )
+from repro.relational.imputation import impute_table
 from repro.relational.table import Table
 from repro.selection.base import CLASSIFICATION, REGRESSION, holdout_score, infer_task
 from repro.selection.rifs import RIFS
@@ -224,11 +225,11 @@ def test_binned_encoding_matches_float_matrix_binning(n, seed, max_bins):
     quantising the float design matrix — same layout, codes and boundaries.
     """
     rng = np.random.default_rng(seed)
-    table = _random_table(rng, n)
-    encoded = encode_features(table, exclude=["target"], max_categories=3, seed=0)
+    table = impute_table(_random_table(rng, n), seed=0)
+    encoded = encode_features(table, exclude=["target"], max_categories=3)
     reference = BinnedMatrix.from_matrix(encoded.matrix, max_bins=max_bins)
     fast = encode_features_binned(
-        table, exclude=["target"], max_categories=3, seed=0, max_bins=max_bins
+        table, exclude=["target"], max_categories=3, max_bins=max_bins
     )
     assert fast.feature_names == encoded.feature_names
     assert fast.source_columns == encoded.source_columns
@@ -239,9 +240,9 @@ def test_binned_encoding_matches_float_matrix_binning(n, seed, max_bins):
 
 
 def test_to_binned_matrix_aligns_with_design_matrix(rng):
-    table = _random_table(rng, 200)
-    X, y, encoding = to_design_matrix(table, "target", max_categories=3, seed=0)
-    binned, y_binned = to_binned_matrix(table, "target", max_categories=3, seed=0)
+    table = impute_table(_random_table(rng, 200), seed=0)
+    X, y, encoding = to_design_matrix(table, "target", max_categories=3)
+    binned, y_binned = to_binned_matrix(table, "target", max_categories=3)
     assert binned.feature_names == encoding.feature_names
     assert binned.shape == X.shape
     assert np.array_equal(y, y_binned)

@@ -21,7 +21,7 @@ from repro.discovery.repository import ProfileCache
 from repro.relational.aggregate import _group_rows, _group_rows_fallback, group_by_aggregate
 from repro.relational.column import Column
 from repro.relational.encoding import encode_features, encode_target
-from repro.relational.imputation import impute_categorical_random
+from repro.relational.imputation import impute_table
 from repro.relational.join import _match_first_occurrence, _match_via_hash_index
 from repro.relational.persist import table_fingerprint
 from repro.relational.schema import CATEGORICAL
@@ -224,7 +224,7 @@ class TestReferenceEquivalence:
             return
         table = Table([col], name="t")
         for max_categories in (20, 2):
-            encoded = encode_features(table, impute=False, max_categories=max_categories)
+            encoded = encode_features(table, max_categories=max_categories)
             ref_block, ref_names = _reference_encode_categorical(col.values, "c", max_categories)
             assert encoded.feature_names == ref_names
             assert np.array_equal(encoded.matrix, ref_block)
@@ -251,7 +251,7 @@ class TestReferenceEquivalence:
     @given(cat_values, st.integers(min_value=0, max_value=1000))
     def test_imputation_matches_object_reference(self, values, seed):
         col = Column.categorical("c", values)
-        imputed = impute_categorical_random(col, rng=np.random.default_rng(seed))
+        imputed = impute_table(Table([col], name="t"), seed=seed).column("c")
         expected = _reference_impute(col.values, np.random.default_rng(seed))
         assert imputed.to_list() == expected
 

@@ -255,13 +255,18 @@ class TestImputationAndEncoding:
         assert imputed["c"].values[1] == "a"
 
     def test_impute_all_missing_categorical(self):
-        table = Table.from_dict({"c": [None, None]}, types={"c": "categorical"}) if False else None
         # build explicitly to avoid inference on all-None
         from repro.relational.column import Column
         from repro.relational.schema import CATEGORICAL
         table = Table([Column("c", [None, None], CATEGORICAL)])
         imputed = impute_table(table)
         assert imputed["c"].values[0] == "__missing__"
+
+    def test_encoding_does_not_impute(self):
+        table = Table.from_dict({"x": [1.0, None, 3.0], "y": [0.0, 1.0, 0.0]})
+        assert encode_features(table, exclude=["y"]).matrix[:, 0].tolist() == [1.0, 0.0, 3.0]
+        X, _y, _encoding = to_design_matrix(table, "y")
+        assert X[:, 0].tolist() == [1.0, 0.0, 3.0]
 
     def test_missing_fraction(self):
         table = Table.from_dict({"x": [1.0, None], "c": ["a", "b"]})

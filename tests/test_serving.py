@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import preprocessing_reference
 import repro.relational.join as join_module
 from repro.core.arda import ARDA
 from repro.core.config import ARDAConfig
@@ -42,6 +43,7 @@ from repro.datasets.synthetic import RelationalDatasetBuilder, SignalTableSpec
 from repro.discovery.candidates import JoinCandidate, KeyPair
 from repro.discovery.repository import DataRepository
 from repro.ml import (
+    BinnedMatrix,
     DecisionTreeClassifier,
     RandomForestClassifier,
     RandomForestRegressor,
@@ -49,7 +51,12 @@ from repro.ml import (
     estimator_to_state,
 )
 from repro.relational.column import Column
-from repro.relational.encoding import FittedEncoder, encode_features, to_design_matrix
+from repro.relational.encoding import (
+    FittedEncoder,
+    encode_features,
+    encode_features_binned,
+    to_design_matrix,
+)
 from repro.relational.imputation import FittedImputer, impute_table
 from repro.relational.persist import open_chunks, write_table
 from repro.relational.schema import CATEGORICAL, NUMERIC, Schema
@@ -62,6 +69,7 @@ from repro.serving import (
     write_artifact,
 )
 from repro.serving.pipeline import fit_pipeline_from_training
+from stress import deep_settings
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -91,7 +99,6 @@ def training_matrix(trained):
         impute_table(report.augmented_table, seed=0),
         dataset.target,
         max_categories=12,
-        seed=0,
     )
     return X, y
 
@@ -124,7 +131,6 @@ class TestTrainByteIdentity:
             impute_table(report.augmented_table, seed=0),
             dataset.target,
             max_categories=12,
-            seed=0,
         )[2]
         assert report.pipeline.feature_names == encoding.feature_names
 
@@ -137,53 +143,164 @@ class TestTrainByteIdentity:
             assert p.batch_index >= 0
 
 
-# -- hypothesis: fitted kernels == training kernels ---------------------------
+# -- hypothesis: fitted kernels == the training loops they replaced ----------
 
 
 cat_entries = st.one_of(
     st.none(), st.sampled_from(["a", "bb", "", "日本語", "x y", "-1.5"])
 )
-num_entries = st.one_of(st.none(), st.sampled_from([0.0, -1.5, 2.0**40, 3.25]))
+num_entries = st.one_of(st.none(), st.sampled_from([0.0, -0.0, -1.5, 2.0**40, 3.25]))
 
 
 @st.composite
 def mixed_tables(draw):
+    """A table of mixed columns, maybe a row slice of a larger one, and an
+    exclude list drawn from its column names and one absent name."""
     n_rows = draw(st.integers(min_value=0, max_value=20))
     n_cols = draw(st.integers(min_value=0, max_value=4))
+    sliced = draw(st.booleans())
+    n_full = n_rows + draw(st.integers(min_value=0, max_value=10)) if sliced else n_rows
     data, types = {}, {}
     for i in range(n_cols):
         if draw(st.booleans()):
             name = f"cat{i}"
-            data[name] = draw(st.lists(cat_entries, min_size=n_rows, max_size=n_rows))
+            data[name] = draw(st.lists(cat_entries, min_size=n_full, max_size=n_full))
             types[name] = CATEGORICAL
         else:
             name = f"num{i}"
-            data[name] = draw(st.lists(num_entries, min_size=n_rows, max_size=n_rows))
+            data[name] = draw(st.lists(num_entries, min_size=n_full, max_size=n_full))
             types[name] = NUMERIC
-    return Table.from_dict(data, types=types, name="generated")
+    table = Table.from_dict(data, types=types, name="generated")
+    if sliced:
+        # a row slice keeps its source's dictionaries, unused entries included
+        rows = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=max(n_full - 1, 0)),
+                min_size=n_rows,
+                max_size=n_rows,
+            )
+        )
+        table = table.take(np.array(rows, dtype=np.int64))
+    exclude = draw(st.lists(st.sampled_from([*data, "absent"]), unique=True))
+    return table, exclude
+
+
+def assert_tables_identical(got: Table, want: Table) -> None:
+    """Same columns, codes, dictionaries and float bytes (``-0.0`` is not ``0.0``)."""
+    assert got.column_names == want.column_names
+    for name in want.column_names:
+        a, b = got.column(name), want.column(name)
+        assert a.ctype is b.ctype, name
+        if a.ctype is CATEGORICAL:
+            assert a.codes.tobytes() == b.codes.tobytes(), name
+            assert list(a.dictionary) == list(b.dictionary), name
+        else:
+            assert a.values.tobytes() == b.values.tobytes(), name
 
 
 class TestFittedKernelsMatchTraining:
-    @settings(max_examples=60, deadline=None)
-    @given(table=mixed_tables(), seed=st.integers(min_value=0, max_value=5))
-    def test_fitted_imputer_replays_training_imputation(self, table, seed):
-        reference = impute_table(table, seed=seed)
+    @pytest.mark.stress
+    @deep_settings(60)
+    @given(case=mixed_tables(), seed=st.integers(min_value=0, max_value=5))
+    def test_fitted_imputer_replays_training_imputation(self, case, seed):
+        table, _exclude = case
+        reference = preprocessing_reference.impute_table(table, seed=seed)
         imputer, fitted = FittedImputer.fit(table, seed=seed)
-        assert fitted == reference
-        assert imputer.transform(table) == reference
+        assert_tables_identical(fitted, reference)
+        assert_tables_identical(impute_table(table, seed=seed), reference)
+        assert_tables_identical(imputer.transform(table), reference)
 
-    @settings(max_examples=60, deadline=None)
-    @given(table=mixed_tables(), max_categories=st.integers(min_value=1, max_value=6))
-    def test_fitted_encoder_replays_training_encoding(self, table, max_categories):
-        imputed = impute_table(table, seed=0)
-        reference = encode_features(
-            imputed, max_categories=max_categories, impute=False
+    @pytest.mark.stress
+    @deep_settings(60)
+    @given(case=mixed_tables(), max_categories=st.integers(min_value=1, max_value=6))
+    def test_fitted_encoder_replays_training_encoding(self, case, max_categories):
+        table, exclude = case
+        imputed = preprocessing_reference.impute_table(table, seed=0)
+        for source in (imputed, table):  # encoding never imputes
+            reference = preprocessing_reference.encode_features(
+                source, exclude, max_categories
+            )
+            encoder, fitted = FittedEncoder.fit(
+                source, exclude=exclude, max_categories=max_categories
+            )
+            trained = encode_features(
+                source, exclude=exclude, max_categories=max_categories
+            )
+            for encoded in (fitted, trained):
+                assert encoded.feature_names == reference.feature_names
+                assert encoded.source_columns == reference.source_columns
+                assert encoded.matrix.tobytes() == reference.matrix.tobytes()
+            assert encoder.transform(source).tobytes() == reference.matrix.tobytes()
+            binned = encode_features_binned(
+                source, exclude=exclude, max_categories=max_categories
+            )
+            quantised = BinnedMatrix.from_matrix(reference.matrix)
+            assert binned.feature_names == reference.feature_names
+            assert binned.codes.tobytes() == quantised.codes.tobytes()
+            for j in range(quantised.n_features):
+                assert np.array_equal(binned.bin_min[j], quantised.bin_min[j], equal_nan=True)
+                assert np.array_equal(binned.bin_max[j], quantised.bin_max[j], equal_nan=True)
+
+
+# -- frequency state: remapped per value only for other dictionaries ---------
+
+
+@pytest.fixture
+def frequency_remaps(monkeypatch):
+    """Names of the frequency columns remapped value by value, one per remap."""
+    calls: list[str] = []
+    remap = FittedEncoder._remap_frequencies
+
+    def counting(col, state):
+        calls.append(state.name)
+        return remap(col, state)
+
+    monkeypatch.setattr(FittedEncoder, "_remap_frequencies", staticmethod(counting))
+    return calls
+
+
+class TestFrequencyRemaps:
+    def test_training_encodes_read_fit_time_frequencies(self, frequency_remaps):
+        ids = [f"id{i % 9}" if i % 5 else None for i in range(40)]
+        tags = [f"t{i % 4}" for i in range(40)]
+        table = impute_table(
+            Table.from_dict(
+                {"id": ids, "tag": tags, "x": [float(i) for i in range(40)],
+                 "y": [float(i % 2) for i in range(40)]},
+                types={"id": CATEGORICAL, "tag": CATEGORICAL},
+            ),
+            seed=0,
         )
-        encoder, encoded = FittedEncoder.fit(imputed, max_categories=max_categories)
-        assert encoded.feature_names == reference.feature_names
-        assert encoded.source_columns == reference.source_columns
-        assert encoded.matrix.tobytes() == reference.matrix.tobytes()
-        assert encoder.transform(imputed).tobytes() == reference.matrix.tobytes()
+        encoder, _encoded = FittedEncoder.fit(table, exclude=["y"], max_categories=2)
+        frequency = [s.name for s in encoder.columns if s.kind == "frequency"]
+        assert frequency == ["id", "tag"]
+        encode_features(table, exclude=["y"], max_categories=2)
+        to_design_matrix(table, "y", max_categories=2)
+        encode_features_binned(table, exclude=["y"], max_categories=2)
+        encoder.transform(table.take(np.arange(10)))  # a row slice shares them
+        assert frequency_remaps == []
+
+    def test_only_a_loaded_pipeline_remaps_once_per_column(
+        self, frequency_remaps, tmp_path
+    ):
+        builder = RelationalDatasetBuilder(
+            "serving", task="regression", n_rows=160, n_entities=50, seed=3
+        )
+        builder.add_signal_table(SignalTableSpec("signal", n_signal_columns=2))
+        builder.add_noise_tables(1, prefix="noise", n_columns=2)
+        dataset = builder.build()
+        # every batch encode and the pipeline capture see frequency columns
+        report = ARDA(ARDAConfig(max_categories=1)).augment(dataset)
+        frequency = [
+            s.name for s in report.pipeline.encoder.columns if s.kind == "frequency"
+        ]
+        assert frequency
+        assert frequency_remaps == []
+        path = tmp_path / "model.pipeline"
+        report.pipeline.save(path)
+        loaded = FittedPipeline.load(path, repository=dataset.repository)
+        loaded.transform(dataset.base_table.take(np.arange(20)))
+        assert frequency_remaps == frequency
 
 
 # -- artifact failure modes ---------------------------------------------------
