@@ -53,9 +53,9 @@ from repro.discovery.repository import DataRepository
 from repro.relational import persist
 from repro.relational.join import (
     StreamJoinStats,
+    grace_left_join,
     iter_grace_left_join,
     left_join,
-    streaming_left_join,
 )
 from repro.relational.table import Table
 
@@ -201,7 +201,7 @@ def run_spill_kernel(
         "seconds": spill_s,
         "rows": left.num_rows,
         "partitions": spill_stats.spill_partitions,
-        "spill_mb": spill_stats.spill_bytes_written / 1e6,
+        "spill_bytes": spill_stats.spill_bytes_written,
         "budget_mb": budget / 1e6,
         "peak_mb": spill_peak / 1e6,
         "in_memory_s": mem_s,
@@ -370,7 +370,7 @@ def main() -> int:
         )
 
         def run_sorted_join():
-            return streaming_left_join(
+            return grace_left_join(
                 repo.open_chunks("sorted_left"), sorted_right, [("key", "rkey")]
             )
 

@@ -20,7 +20,8 @@ Measures, on a generated repository of native binary tables:
   cost, full materialisation cost, and the peak traced memory of a
   chunk-at-a-time scan (the out-of-core access pattern), reported in the
   ``peak_mb`` column.
-* **streaming-join vs in-memory-join** — the pruned streaming hash join over
+* **streaming-join vs in-memory-join** — the pruned chunked hash join
+  (``grace_left_join`` with no budget: the build side stays in memory) over
   a chunked file against ``left_join`` on the materialised table; asserts the
   outputs are **value-identical** and that zone maps prune **>= 50%** of the
   chunks on the selective-key workload, and reports both paths' peak memory.
@@ -45,7 +46,7 @@ import numpy as np
 
 from repro.discovery.repository import DataRepository, PROFILE_SIDECAR, TABLE_SUFFIX
 from repro.relational import persist
-from repro.relational.join import left_join, streaming_left_join
+from repro.relational.join import grace_left_join, left_join
 from repro.relational.schema import CATEGORICAL
 from repro.relational.table import Table
 
@@ -317,7 +318,7 @@ def main() -> int:
         persist.write_table(join_left, join_path, chunk_rows=max(join_rows // 20, 1))
 
         def run_streaming_join():
-            return streaming_left_join(
+            return grace_left_join(
                 persist.open_chunks(join_path), join_right, [("key", "rkey")]
             )
 

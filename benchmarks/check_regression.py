@@ -16,7 +16,11 @@ Rules:
 * a baseline kernel missing from the measurements FAILS (a silently dropped
   benchmark must not pass the gate);
 * a measured kernel with no baseline only warns — commit a baseline entry for
-  it to bring it under the gate.
+  it to bring it under the gate;
+* a baseline counter (``counters``: deterministic work counts such as spill
+  partitions, spill bytes or chunks probed, keyed by kernel) FAILS unless the
+  measured row reports exactly that value, and a missing counter FAILS as a
+  missing kernel does.  Counters gate kernels too fast for ``min_seconds``.
 
 Baselines are recorded from ``--quick`` runs with generous headroom; when a
 deliberate change moves a kernel's cost, re-record with the printed value.
@@ -47,14 +51,19 @@ def main() -> int:
     max_ratio = float(baseline_doc.get("max_ratio", 2.0))
     min_seconds = float(baseline_doc.get("min_seconds", 0.05))
 
+    counters: dict[str, dict[str, int]] = baseline_doc.get("counters", {})
+
     measured: dict[str, float] = {}
+    rows: dict[str, dict] = {}
     for path in args.measurements:
         doc = json.loads(path.read_text())
         suite = doc.get("suite", path.stem)
         for row in doc.get("results", []):
+            kernel = f"{suite}/{row['bench']}"
+            rows[kernel] = row
             seconds = measured_seconds(row)
             if seconds is not None:
-                measured[f"{suite}/{row['bench']}"] = seconds
+                measured[kernel] = seconds
 
     failures: list[str] = []
     print(f"{'kernel':<28} {'measured':>10} {'baseline':>10} {'ratio':>7}")
@@ -78,6 +87,22 @@ def main() -> int:
         )
     for kernel in sorted(set(measured) - set(baselines)):
         print(f"{kernel:<28} {measured[kernel] * 1e3:>8.1f}ms {'(no baseline)':>10}")
+
+    if counters:
+        print(f"\n{'counter':<44} {'measured':>12} {'baseline':>12}")
+    for kernel, expected in sorted(counters.items()):
+        row = rows.get(kernel, {})
+        for name, value in sorted(expected.items()):
+            label = f"{kernel}.{name}"
+            got = row.get(name)
+            verdict = ""
+            if got is None:
+                failures.append(f"{label}: counter in baseline but not measured")
+                verdict = "  << MISSING"
+            elif got != value:
+                failures.append(f"{label}: measured {got}, baseline {value} (must match)")
+                verdict = "  << CHANGED"
+            print(f"{label:<44} {str(got):>12} {value:>12}{verdict}")
 
     if failures:
         print("\nbenchmark regression gate FAILED:")

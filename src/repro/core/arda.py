@@ -42,13 +42,7 @@ from repro.ml.automl import AutoMLSearch
 from repro.relational.column import Column
 from repro.relational.encoding import encode_features_binned, to_design_matrix
 from repro.relational.imputation import impute_table
-from repro.relational.join import (
-    StreamJoinStats,
-    as_chunk_source,
-    iter_grace_left_join,
-    iter_streaming_left_join,
-    needs_spill,
-)
+from repro.relational.join import StreamJoinStats, as_chunk_source, iter_grace_left_join
 from repro.relational.persist import write_table_stream
 from repro.relational.schema import NUMERIC
 from repro.relational.table import Table, unique_name
@@ -117,8 +111,9 @@ class ARDA:
         materialisation streams base chunks through build-once hash joins with
         zone-map pruning, writing the augmented table chunk-by-chunk to
         ``augmented_path`` (no full output is written when the path is
-        omitted).  Peak memory is bounded by the coreset plus one chunk wave
-        (``config.memory_budget``) plus the build sides.  In this mode the
+        omitted).  Peak memory is bounded by the coreset plus one base chunk
+        per kept join plus the build sides; a build side estimated above
+        ``config.memory_budget`` spills to disk instead.  In this mode the
         report's ``augmented_table`` holds the *coreset* materialisation, the
         scores are coreset-level, ``augmented_path``/``stream_stats`` record
         the streamed output and the per-table pruning ratios, and a kept
@@ -488,18 +483,17 @@ class ARDA:
     ) -> tuple[Path | None, dict[str, StreamJoinStats]]:
         """Stream the kept joins over every base chunk into ``augmented_path``.
 
-        Each kept hard join becomes one iterator that yields one output table
-        per base chunk: :func:`~repro.relational.join.iter_streaming_left_join`
-        (build once, zone-map pruning, one chunk in memory), or
-        :func:`~repro.relational.join.iter_grace_left_join` when the build
-        side must spill.  Every build side is first projected to its keys plus
-        the kept columns (:func:`~repro.core.join_execution.kept_build_side`,
-        which the replay kernel's prepare step uses too: dropped columns are
-        never aggregated or decoded), and a projected build that still exceeds
-        ``config.memory_budget`` (or when ``config.spill_partitions`` forces
-        it) spills.  The iterators advance in lockstep; each join's output
-        chunk ends with exactly its kept columns, which are renamed to their
-        pinned names, as
+        Each kept hard join becomes one
+        :func:`~repro.relational.join.iter_grace_left_join` iterator that
+        yields one output table per base chunk (build once, zone-map pruning,
+        one chunk in memory).  Every build side is first projected to its
+        keys plus the kept columns
+        (:func:`~repro.core.join_execution.kept_build_side`, which the replay
+        kernel's prepare step uses too: dropped columns are never aggregated
+        or decoded), and the join itself spills a projected build that still
+        exceeds ``config.memory_budget``.  The iterators advance in lockstep;
+        each join's output chunk ends with exactly its kept columns, which
+        are renamed to their pinned names, as
         :func:`~repro.core.join_execution.replay_kept_joins` does, before the
         chunk is written out through
         :func:`~repro.relational.persist.write_table_stream`.  Concatenating
@@ -542,21 +536,14 @@ class ARDA:
             projected = kept_build_side(
                 repository.get(candidate.foreign_table), candidate, positions
             )
-            table_stats = stats.setdefault(candidate.foreign_table, StreamJoinStats())
-            if needs_spill(projected, config.memory_budget, config.spill_partitions):
-                joined = iter_grace_left_join(
-                    source,
-                    as_chunk_source(projected, chunk_rows=config.chunk_rows),
-                    on=candidate.key_pairs(),
-                    num_partitions=config.spill_partitions,
-                    memory_budget=config.memory_budget,
-                    spill_dir=config.spill_dir,
-                    stats=table_stats,
-                )
-            else:
-                joined = iter_streaming_left_join(
-                    source, projected, on=candidate.key_pairs(), stats=table_stats
-                )
+            joined = iter_grace_left_join(
+                source,
+                as_chunk_source(projected, chunk_rows=config.chunk_rows),
+                on=candidate.key_pairs(),
+                memory_budget=config.memory_budget,
+                spill_dir=config.spill_dir,
+                stats=stats.setdefault(candidate.foreign_table, StreamJoinStats()),
+            )
             joins.append((joined, names))
 
         def augmented_chunks() -> Iterator[Table]:

@@ -110,30 +110,22 @@ class ARDAConfig:
         ``0`` writes one row group per file.  Reading is layout-transparent
         either way.
     memory_budget:
-        Soft cap, in bytes, on how much chunk data the streaming join engine
-        holds at once: chunks of an out-of-core base table are processed in
-        waves whose summed (page bytes + projected output) estimate stays
-        under the budget, and a build (right) side whose estimated size
-        exceeds the budget runs in Grace spill mode: it is hash-partitioned
-        to disk and each partition is pre-aggregated once; aggregated
-        partitions stay in memory while they fit the budget, and only base
-        rows of the rest spill and join partition by partition (identical
-        output; peak heap one raw partition plus the resident partitions
-        plus one base chunk).  ``None`` (default) sizes waves at one
-        chunk per worker and never spills; it then defers to the
-        ``ARDA_MEMORY_BUDGET`` environment variable (bytes) when that is
-        set.  This bounds the pipeline's working set; it never changes
+        Soft cap, in bytes, on the build sides the chunked join holds in
+        memory.  Each kept join of an out-of-core run streams the base one
+        chunk at a time through a hybrid hash join; a build (right) side
+        whose estimated size exceeds the budget is hash-partitioned to disk
+        and each partition is pre-aggregated once.  Aggregated partitions
+        stay in memory while they fit the budget, and only base rows of the
+        rest spill and join partition by partition (identical output; peak
+        heap one raw partition plus the resident partitions plus one base
+        chunk).  ``None`` (default) defers to the ``ARDA_MEMORY_BUDGET``
+        environment variable (bytes) when that is set, and otherwise never
+        spills.  This bounds the pipeline's working set; it never changes
         results.
-    spill_partitions:
-        Explicit Grace spill fan-out for the streaming join's build side.
-        ``None`` (default) derives the partition count from the build-side
-        size and ``memory_budget`` and only spills oversized builds; a value
-        ``> 1`` forces partitioned spilling regardless of size (testing and
-        tiny-budget CI legs).
     spill_dir:
         Directory for Grace spill files (a uniquely-named subdirectory is
-        created per join and removed afterwards).  ``None`` uses the system
-        temp dir.
+        created per spilling join and removed afterwards).  ``None`` uses the
+        system temp dir.
     capture_pipeline:
         Capture a servable :class:`~repro.serving.pipeline.FittedPipeline`
         (accepted join plan, fitted encoders/imputers, selected features,
@@ -168,7 +160,6 @@ class ARDAConfig:
     max_bins: int = 255
     chunk_rows: int | None = None
     memory_budget: int | None = None
-    spill_partitions: int | None = None
     spill_dir: str | None = None
     capture_pipeline: bool = True
 
@@ -217,8 +208,6 @@ class ARDAConfig:
                     ) from None
         if self.memory_budget is not None and self.memory_budget < 1:
             raise ValueError("memory_budget must be None or a positive byte count")
-        if self.spill_partitions is not None and self.spill_partitions < 1:
-            raise ValueError("spill_partitions must be None or >= 1")
 
 
 @dataclass

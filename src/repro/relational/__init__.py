@@ -6,8 +6,9 @@ with a small, typed, numpy-backed relational engine.  It provides:
 * :class:`~repro.relational.column.Column` — a typed, nullable column.
 * :class:`~repro.relational.table.Table` — an ordered collection of equal
   length columns with selection, filtering, sorting and group-by support.
-* Hash LEFT joins on single and composite keys, plus streaming zone-map-pruned
-  joins over row-group chunked files (:mod:`repro.relational.join`).
+* Hash LEFT joins on single and composite keys, plus one chunked,
+  zone-map-pruned hybrid hash join over row-group chunked files that spills
+  a build side larger than its memory budget (:mod:`repro.relational.join`).
 * Binary columnar persistence with optional row-group chunking for
   out-of-core tables (:mod:`repro.relational.persist`).
 * Soft joins (nearest-neighbour and two-way nearest-neighbour interpolation)
@@ -33,9 +34,9 @@ from repro.relational.join import (
     StreamingHashJoin,
     StreamJoinStats,
     as_chunk_source,
-    iter_streaming_left_join,
+    grace_left_join,
+    iter_grace_left_join,
     left_join,
-    streaming_left_join,
 )
 from repro.relational.soft_join import (
     nearest_join,
@@ -86,8 +87,8 @@ __all__ = [
     "BOOLEAN",
     "Table",
     "left_join",
-    "streaming_left_join",
-    "iter_streaming_left_join",
+    "grace_left_join",
+    "iter_grace_left_join",
     "as_chunk_source",
     "StreamingHashJoin",
     "StreamJoinStats",

@@ -1,4 +1,4 @@
-"""Hash LEFT joins on hard keys, in-memory and streaming.
+"""Hash LEFT joins on hard keys, in-memory and chunked.
 
 Only LEFT joins are implemented because they are the only join type suitable
 for data augmentation: every base-table row (training example) is preserved and
@@ -15,32 +15,29 @@ near-contiguous run of integers, with ``searchsorted`` otherwise; the
 zone-map pruner reads its key ranges off the same prepared keys.
 :func:`left_join` is its one-chunk case: an in-memory :class:`Table` is
 joined as a single chunk.
-:func:`iter_streaming_left_join` streams a
-:class:`~repro.relational.persist.ChunkedTableReader` through it; chunks whose
-zone map cannot intersect the build side's key range are **pruned**: their
-probe and gather are skipped entirely and they contribute all-NULL augmented
-columns, which is exactly what the full probe would have produced (a LEFT
-join keeps every base row, so pruning a chunk removes work, never rows).
-Because every chunk is probed with the same kernels and the outputs are
-concatenated in chunk order, :func:`streaming_left_join` is equivalent to
-``left_join`` row for row, while peak memory stays bounded by a chunk wave
-(``memory_budget``) instead of the base table.  Independent chunks of one
-join fan out across any :class:`~repro.core.executor.JoinExecutor` backend.
 
-When the *build* side itself exceeds the memory budget the join switches to
-a hybrid hash join (:func:`grace_left_join`): the build side is
-hash-partitioned on the key values into spill files
-(:func:`~repro.relational.persist.write_table_stream`) and each partition is
-read back and pre-aggregated once.  Aggregated partitions stay in memory
-while they fit the budget, and every base chunk is probed against them in
-line; only base rows of the partitions past that prefix spill their keys,
-join partition by partition with the same kernels, and merge back into
-base-row order.  Peak heap stays bounded by one raw partition plus the
-resident partitions (at most the budget) plus one base chunk, and the output
-is byte-identical to ``left_join`` (same values, same dictionaries).
-Sources whose file is sort-ordered on a join key (``sort_by``) prune their
-candidate chunk range with two binary searches over the zone bounds instead
-of scanning every zone entry.
+:func:`iter_grace_left_join` is the one chunked LEFT join: a hybrid hash
+join that streams a base source (a
+:class:`~repro.relational.persist.ChunkedTableReader` or a :class:`Table`)
+one chunk at a time.  A build side whose estimated bytes fit
+``memory_budget`` (or any build side, without a budget) is prepared in
+memory as one :class:`StreamingHashJoin` and nothing spills.  A larger one
+is hash-partitioned on the key values into spill files
+(:func:`~repro.relational.persist.write_table_stream`) and each partition
+is read back and pre-aggregated once.  Aggregated partitions stay in memory
+while they fit the budget; only base rows of the partitions past that
+prefix spill their keys, join partition by partition with the same
+kernels, and merge back into base-row order.  Either way one loop then
+reads each base chunk once and probes it in line against the resident
+build side.  Chunks whose zone map cannot intersect the build side's key
+range are **pruned**: their probe and gather are skipped entirely and they
+contribute all-NULL augmented columns, which is exactly what the full probe
+would have produced (a LEFT join keeps every base row, so pruning a chunk
+removes work, never rows).  Sources whose file is sort-ordered on a join
+key (``sort_by``) prune their candidate chunk range with two binary
+searches over the zone bounds instead of scanning every zone entry.  The
+output is byte-identical to ``left_join`` on the materialised tables (same
+values, same dictionaries) for every budget and partition count.
 """
 
 from __future__ import annotations
@@ -270,20 +267,6 @@ def _domain_codes(
     return np.where(domain[positions] == values, positions, -1)
 
 
-def _match_first_occurrence(
-    left_columns: Sequence[Column], right_columns: Sequence[Column]
-) -> np.ndarray:
-    """Vectorised hash-join probe: first matching right row per left row.
-
-    Replicates ``_build_hash_index`` + per-row lookup (first right occurrence
-    wins, rows with a missing key part never match) without the per-row
-    Python loop, by preparing the right keys (:class:`_BuildKeys`) and
-    probing the left ones.  A :class:`StreamingHashJoin` prepares once and
-    probes every chunk.
-    """
-    return _BuildKeys(right_columns).probe(left_columns)
-
-
 def _match_via_hash_index(
     left_columns: Sequence[Column], right_columns: Sequence[Column]
 ) -> np.ndarray:
@@ -382,12 +365,12 @@ def _gather_right_column(
     return Column.from_array(name, out, col.ctype)
 
 
-# -- streaming, pruned, chunk-parallel join -----------------------------------
+# -- chunk sources, zone-map pruning and the build-once join -------------------
 
 
 @dataclass
 class StreamJoinStats:
-    """Pruning and coverage accounting of one streaming join.
+    """Pruning, coverage and spill accounting of one chunked join.
 
     ``chunks_probed`` counts row groups whose key pages were actually read and
     probed against the build side; the remaining ``chunks_pruned`` were
@@ -417,19 +400,6 @@ class StreamJoinStats:
         if not self.chunks_total:
             return 0.0
         return self.chunks_pruned / self.chunks_total
-
-    def merge(self, other: "StreamJoinStats") -> "StreamJoinStats":
-        """Elementwise sum — used to aggregate stats across several joins."""
-        return StreamJoinStats(
-            chunks_total=self.chunks_total + other.chunks_total,
-            chunks_probed=self.chunks_probed + other.chunks_probed,
-            rows_total=self.rows_total + other.rows_total,
-            rows_probed=self.rows_probed + other.rows_probed,
-            rows_matched=self.rows_matched + other.rows_matched,
-            spill_partitions=self.spill_partitions + other.spill_partitions,
-            spill_bytes_written=self.spill_bytes_written + other.spill_bytes_written,
-            spill_bytes_read=self.spill_bytes_read + other.spill_bytes_read,
-        )
 
     def record_to(self, registry=None, prefix: str = "stream_join") -> None:
         """Add this join's accounting to a metrics registry's counters.
@@ -689,12 +659,12 @@ class StreamingHashJoin:
     right-side validation and pre-aggregation, and output-column naming
     against the left schema.  Each :meth:`probe_chunk` / :meth:`join_chunk`
     call then handles one base chunk independently — :func:`left_join` is the
-    one-chunk case — and the object is picklable, so chunks can fan out across
-    process pools with the build side shipped once per worker.  The build
-    keys (:attr:`build_keys`) are prepared on the first probe, and the
-    per-key value ranges (:attr:`pruner`) are read off them on first use,
-    which only a source with zone maps ever asks for.  Preparation is
-    deterministic, so threads racing a first probe agree on every match.
+    one-chunk case, and :func:`iter_grace_left_join` probes every base chunk
+    against one — and the object is picklable.  The build keys
+    (:attr:`build_keys`) are prepared on the first probe, and the per-key
+    value ranges (:attr:`pruner`) are read off them on first use, which only
+    a source with zone maps ever asks for.  Preparation is deterministic, so
+    threads racing a first probe agree on every match.
     """
 
     right: Table
@@ -767,220 +737,12 @@ class StreamingHashJoin:
         return Table(list(chunk.columns()) + gathered, name=chunk.name)
 
 
-# per-process reader cache for chunk-parallel probing on the process backend
-# (thread/serial backends share the source directly and never touch this)
-_WORKER_SOURCES: dict = {}
-
-
-def _resolve_worker_source(source_ref):
-    if not isinstance(source_ref, tuple) or source_ref[0] != "file":
-        return source_ref
-    _tag, path, mmap = source_ref
-    key = (path, mmap)
-    reader = _WORKER_SOURCES.get(key)
-    if reader is None:
-        reader = open_chunks(path, mmap=mmap)
-        _WORKER_SOURCES[key] = reader
-    return reader
-
-
-def _probe_chunk_task(shared, index: int):
-    """Executor task: probe + gather one chunk, returning its augmented columns."""
-    joiner, source_ref = shared
-    source = _resolve_worker_source(source_ref)
-    chunk = source.chunk(index, columns=joiner.left_keys)
-    match_index = joiner.probe_chunk(chunk)
-    return int((match_index >= 0).sum()), joiner.gather(match_index)
-
-
-def _source_ref(source):
-    """A picklable handle for executor workers (file-backed sources reopen)."""
-    path = getattr(source, "path", None)
-    if path is not None:
-        return ("file", str(path), getattr(source, "_mmap", True))
-    return source
-
-
-def _chunk_waves(
-    indices: Sequence[int], costs: Sequence[int], memory_budget: int | None
-) -> list[list[int]]:
-    """Group chunk indices into waves whose summed cost fits the budget.
-
-    Order is preserved and every wave holds at least one chunk, so a budget
-    smaller than a single chunk degrades to chunk-at-a-time streaming rather
-    than failing.
-    """
-    if memory_budget is None or memory_budget <= 0:
-        return [list(indices)] if indices else []
-    waves: list[list[int]] = []
-    current: list[int] = []
-    current_cost = 0
-    for index, cost in zip(indices, costs):
-        if current and current_cost + cost > memory_budget:
-            waves.append(current)
-            current = []
-            current_cost = 0
-        current.append(index)
-        current_cost += cost
-    if current:
-        waves.append(current)
-    return waves
-
-
 def estimate_source_nbytes(source) -> int:
     """Approximate payload bytes of a chunk source (page bytes when file-backed,
-    an 8-bytes-per-cell estimate for in-memory tables) — the spill trigger."""
+    an 8-bytes-per-cell estimate for in-memory tables): what a build side is
+    weighed by against ``memory_budget``."""
     source = as_chunk_source(source)
     return sum(source.chunk_nbytes(index) for index in range(source.num_chunks))
-
-
-def needs_spill(right, memory_budget: int | None, spill_partitions: int | None) -> bool:
-    """Whether a join against build side ``right`` runs in Grace spill mode:
-    an explicit ``spill_partitions > 1`` forces it, otherwise a build side
-    estimated above ``memory_budget`` bytes spills."""
-    if spill_partitions is not None and spill_partitions > 1:
-        return True
-    return memory_budget is not None and estimate_source_nbytes(right) > memory_budget
-
-
-def iter_streaming_left_join(
-    source,
-    right,
-    on: Sequence[tuple[str, str]],
-    suffix: str = "_r",
-    aggregate_duplicates: bool = True,
-    executor=None,
-    memory_budget: int | None = None,
-    prune: bool = True,
-    stats: StreamJoinStats | None = None,
-    spill_partitions: int | None = None,
-    spill_dir: str | Path | None = None,
-) -> Iterator[Table]:
-    """Yield the LEFT join of ``source`` (chunked) against ``right``, one
-    output chunk at a time in base order.
-
-    ``source`` is a :class:`~repro.relational.persist.ChunkedTableReader` or a
-    :class:`Table`; ``right`` may be either as well.  The build side is
-    prepared once; each base chunk is then probed independently — skipped
-    entirely when its zone map cannot intersect the build side's key range
-    (``prune``; sort-ordered sources binary-search their candidate chunk
-    range) — and chunks are dispatched in waves whose estimated working set
-    fits ``memory_budget`` bytes, fanned out over ``executor`` (any
-    :class:`~repro.core.executor.JoinExecutor`).  A build side whose
-    estimated bytes exceed ``memory_budget`` (or an explicit
-    ``spill_partitions``) is never materialised raw: the join runs as the
-    hybrid Grace spill join (:func:`iter_grace_left_join`) instead.
-    Concatenating the yielded chunks reproduces ``left_join(source.table(),
-    right, on)`` row for row; pass ``stats`` to collect pruning accounting.
-    """
-    source = as_chunk_source(source)
-    if needs_spill(right, memory_budget, spill_partitions):
-        yield from iter_grace_left_join(
-            source,
-            right,
-            on,
-            suffix=suffix,
-            aggregate_duplicates=aggregate_duplicates,
-            num_partitions=spill_partitions,
-            memory_budget=memory_budget,
-            spill_dir=spill_dir,
-            prune=prune,
-            stats=stats,
-        )
-        return
-    if not isinstance(right, Table):
-        right = as_chunk_source(right).table()
-    joiner = StreamingHashJoin(
-        right,
-        on,
-        source.schema(),
-        suffix=suffix,
-        aggregate_duplicates=aggregate_duplicates,
-    )
-    if stats is None:
-        stats = StreamJoinStats()
-    stats.chunks_total += source.num_chunks
-    stats.rows_total += source.num_rows
-
-    pruned = _pruned_flags(source, lambda: joiner.pruner, prune)
-
-    extra_row_bytes = 8 * (len(joiner.output) + 2 * len(joiner.on))
-    costs = []
-    for index in range(source.num_chunks):
-        start, stop = source.chunk_row_range(index)
-        rows = stop - start
-        costs.append(source.chunk_nbytes(index) + rows * extra_row_bytes)
-    waves = _chunk_waves(list(range(source.num_chunks)), costs, memory_budget)
-
-    use_pool = executor is not None and getattr(executor, "n_jobs", 1) > 1
-    shared = (joiner, _source_ref(source)) if use_pool else None
-    for wave in waves:
-        gathered: dict[int, list[Column]] = {}
-        to_probe = [index for index in wave if not pruned[index]]
-        if use_pool and len(to_probe) > 1:
-            results = executor.map_with_shared(_probe_chunk_task, shared, to_probe)
-            for index, (matched, columns) in zip(to_probe, results):
-                stats.rows_matched += matched
-                gathered[index] = columns
-        for index in wave:
-            start, stop = source.chunk_row_range(index)
-            rows = stop - start
-            chunk = source.chunk(index)
-            if pruned[index]:
-                columns = joiner.null_columns(rows)
-            elif index in gathered:
-                columns = gathered[index]
-            else:
-                match_index = joiner.probe_chunk(chunk)
-                stats.rows_matched += int((match_index >= 0).sum())
-                columns = joiner.gather(match_index)
-            if not pruned[index]:
-                stats.chunks_probed += 1
-                stats.rows_probed += rows
-            yield Table(list(chunk.columns()) + columns, name=source.name)
-
-
-def streaming_left_join(
-    source,
-    right,
-    on: Sequence[tuple[str, str]],
-    suffix: str = "_r",
-    aggregate_duplicates: bool = True,
-    executor=None,
-    memory_budget: int | None = None,
-    prune: bool = True,
-    spill_partitions: int | None = None,
-    spill_dir: str | Path | None = None,
-) -> tuple[Table, StreamJoinStats]:
-    """LEFT-join a chunked source against ``right``, materialising the result.
-
-    Equivalent to ``left_join(source.table(), right, on)`` — the same probe
-    and gather kernels run per chunk and concatenate in chunk order — but the
-    build side is prepared once, chunks stream under ``memory_budget``, and
-    zone-map pruning skips chunks that cannot match.  A build side larger
-    than the budget runs in Grace spill mode (identical output; see
-    :func:`grace_left_join`).  Returns the joined table plus the pruning
-    stats.  (The output itself is in memory; use
-    :func:`repro.relational.persist.write_table_stream` over
-    :func:`iter_streaming_left_join` to keep the result out-of-core.)
-    """
-    stats = StreamJoinStats()
-    parts = list(
-        iter_streaming_left_join(
-            source,
-            right,
-            on,
-            suffix=suffix,
-            aggregate_duplicates=aggregate_duplicates,
-            executor=executor,
-            memory_budget=memory_budget,
-            prune=prune,
-            stats=stats,
-            spill_partitions=spill_partitions,
-            spill_dir=spill_dir,
-        )
-    )
-    return _concat_parts(parts), stats
 
 
 # -- Grace-partitioned spill join ---------------------------------------------
@@ -1202,6 +964,33 @@ def _overlay_spilled(
                 col.values[ids] = spilled.values
 
 
+def _probe_base_chunks(
+    source,
+    resident: StreamingHashJoin,
+    pruned: Sequence[bool],
+    cursors: Sequence[_SpillOutputCursor],
+    output_indexes: dict[str, dict[str, int]],
+    stats: StreamJoinStats,
+) -> Iterator[Table]:
+    """The per-chunk loop of :func:`iter_grace_left_join`: each base chunk
+    once, probed in line against the resident build side (all NULL when
+    pruned), with every spilled partition's outputs (``cursors``) overlaid."""
+    for index in range(source.num_chunks):
+        start, stop = source.chunk_row_range(index)
+        chunk = source.chunk(index)
+        if pruned[index]:
+            columns = resident.null_columns(stop - start)
+        else:
+            stats.chunks_probed += 1
+            stats.rows_probed += stop - start
+            match_index = resident.probe_chunk(chunk)
+            stats.rows_matched += int((match_index >= 0).sum())
+            columns = resident.gather(match_index)
+            for cursor in cursors:
+                _overlay_spilled(columns, cursor, start, stop, output_indexes)
+        yield Table(list(chunk.columns()) + columns, name=source.name)
+
+
 def iter_grace_left_join(
     source,
     right,
@@ -1214,7 +1003,17 @@ def iter_grace_left_join(
     prune: bool = True,
     stats: StreamJoinStats | None = None,
 ) -> Iterator[Table]:
-    """Hybrid hash LEFT join: the raw build side is never materialised in full.
+    """Hybrid hash LEFT join of ``source`` (chunked) against ``right``: yields
+    one output table per base chunk, in base order.
+
+    ``source`` and ``right`` are each a
+    :class:`~repro.relational.persist.ChunkedTableReader` or a
+    :class:`Table`.  With no ``num_partitions`` and a build side whose
+    estimated bytes (:func:`estimate_source_nbytes`) fit ``memory_budget``,
+    or no budget at all, the build side is prepared in memory as one
+    :class:`StreamingHashJoin` and nothing spills: the outcome of the phases
+    below when every partition stays resident, without the disk round trip.
+    Otherwise the raw build side is never materialised in full:
 
     1. The build side is hash-partitioned on its key *values* into spill
        files, in one streaming pass.
@@ -1230,23 +1029,29 @@ def iter_grace_left_join(
        that survive zone pruning and have no missing key part), each such
        partition pair joins with the standard kernels into an output spill
        file, and those outputs merge back into base order by row id.
-    4. Each base chunk is read once and probed in line against the resident
-       build side; the spilled partitions' outputs are scattered over it.
 
-    When every aggregated partition fits, the join writes no base-side or
-    output spill file at all.  Peak heap is one raw build partition plus the
-    resident partitions (at most the budget) plus one base chunk.  The
-    yielded chunks concatenate to exactly ``left_join(source.table(),
-    right.table(), on)`` — same values, same dictionaries — for every
-    partition count and budget.
+    4. Either way, one loop (:func:`_probe_base_chunks`) then reads each base
+       chunk once and probes it in line against the resident build side,
+       unless its zone map proves it cannot match (``prune``; a sort-ordered
+       source binary-searches its candidate chunk range), and scatters the
+       spilled partitions' outputs over it.
 
-    ``num_partitions`` defaults to ``ceil(right bytes / memory_budget)``.
+    When every aggregated partition fits, the spill writes no base-side or
+    output spill file at all.  Peak heap is the in-memory build side, or one
+    raw build partition plus the resident partitions (at most the budget),
+    plus one base chunk.  The yielded chunks concatenate to exactly
+    ``left_join(source.table(), right.table(), on)`` — same values, same
+    dictionaries — for every partition count and budget; pass ``stats`` to
+    collect pruning and spill accounting.
+
+    An explicit ``num_partitions`` forces the spill; without one a spilling
+    build side takes ``ceil(right bytes / memory_budget)`` partitions.
     Spill files live in a fresh temporary directory under ``spill_dir``
     (default: the system temp dir) and are removed before the iterator is
     exhausted.
     """
     if not on:
-        raise ValueError("grace join requires at least one key pair")
+        raise ValueError("a LEFT join requires at least one key pair")
     source = as_chunk_source(source)
     right_source = as_chunk_source(right)
     on = [(left, right_key) for left, right_key in on]
@@ -1260,16 +1065,27 @@ def iter_grace_left_join(
     for key in right_keys:
         if key not in right_schema:
             raise KeyError(f"right source has no key column {key!r}")
-
-    budget = memory_budget if memory_budget and memory_budget > 0 else None
-    if num_partitions is None:
-        right_nbytes = estimate_source_nbytes(right_source)
-        num_partitions = -(-right_nbytes // budget) if budget else 1
-    num_partitions = int(max(1, min(num_partitions, 512)))
     if stats is None:
         stats = StreamJoinStats()
     stats.chunks_total += source.num_chunks
     stats.rows_total += source.num_rows
+
+    budget = memory_budget if memory_budget and memory_budget > 0 else None
+    if num_partitions is None:
+        right_nbytes = estimate_source_nbytes(right_source) if budget else 0
+        if budget is None or right_nbytes <= budget:
+            resident = StreamingHashJoin(
+                right_source.table(),
+                on,
+                left_schema,
+                suffix=suffix,
+                aggregate_duplicates=aggregate_duplicates,
+            )
+            pruned = _pruned_flags(source, lambda: resident.pruner, prune)
+            yield from _probe_base_chunks(source, resident, pruned, [], {}, stats)
+            return
+        num_partitions = -(-right_nbytes // budget)
+    num_partitions = int(max(1, min(num_partitions, 512)))
     stats.spill_partitions += num_partitions
 
     # spill row groups sized so all partition writers' re-batch buffers stay
@@ -1470,20 +1286,9 @@ def iter_grace_left_join(
                 cursors.append(_SpillOutputCursor(out_path, rowid_name))
 
         # -- phase 4: each base chunk once, probed in line, spills overlaid ---
-        for index in range(source.num_chunks):
-            start, stop = source.chunk_row_range(index)
-            chunk = source.chunk(index)
-            if pruned[index]:
-                columns = resident.null_columns(stop - start)
-            else:
-                stats.chunks_probed += 1
-                stats.rows_probed += stop - start
-                match_index = resident.probe_chunk(chunk)
-                stats.rows_matched += int((match_index >= 0).sum())
-                columns = resident.gather(match_index)
-                for cursor in cursors:
-                    _overlay_spilled(columns, cursor, start, stop, output_indexes)
-            yield Table(list(chunk.columns()) + columns, name=source.name)
+        yield from _probe_base_chunks(
+            source, resident, pruned, cursors, output_indexes, stats
+        )
     finally:
         for spiller in spillers:
             spiller.finish(check=False)
@@ -1505,7 +1310,8 @@ def grace_left_join(
 
     Byte-identical to ``left_join(source.table(), right.table(), on)`` for
     every partition count, including 1, and every ``memory_budget``: the
-    budget only decides which aggregated build partitions stay resident.
+    budget only decides whether the build side spills and which aggregated
+    build partitions stay resident.
     """
     stats = StreamJoinStats()
     parts = list(

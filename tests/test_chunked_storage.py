@@ -28,8 +28,9 @@ from repro.discovery.repository import DataRepository
 from repro.ml.binning import BinnedMatrix
 from repro.relational.join import (
     as_chunk_source,
+    grace_left_join,
+    iter_grace_left_join,
     left_join,
-    streaming_left_join,
 )
 from repro.relational.persist import (
     CHUNKED_FORMAT_VERSION,
@@ -273,43 +274,12 @@ class TestStreamingJoin:
         path = tmp_path_factory.mktemp("join") / "left.tbl"
         write_table(left, path, chunk_rows=chunk_rows)
         for prune in (True, False):
-            joined, stats = streaming_left_join(
-                open_chunks(path), right, on, prune=prune
-            )
+            joined, stats = grace_left_join(open_chunks(path), right, on, prune=prune)
             assert_tables_equal(joined, reference)
             assert stats.chunks_probed <= stats.chunks_total
         # an in-memory chunk source (no zone maps) takes the unpruned path
-        joined, _ = streaming_left_join(
-            as_chunk_source(left, chunk_rows=chunk_rows), right, on
-        )
+        joined, _ = grace_left_join(as_chunk_source(left, chunk_rows=chunk_rows), right, on)
         assert_tables_equal(joined, reference)
-
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_executors_produce_identical_results(self, tmp_path, executor):
-        from repro.core.executor import make_executor
-
-        rng = np.random.default_rng(11)
-        left = Table.from_dict(
-            {
-                "k": rng.integers(0, 40, 500).astype(float),
-                "x": rng.normal(size=500),
-            },
-            types={"k": NUMERIC, "x": NUMERIC},
-            name="left",
-        )
-        right = Table.from_dict(
-            {"rk": np.arange(40, dtype=float), "v": rng.normal(size=40)},
-            types={"rk": NUMERIC, "v": NUMERIC},
-            name="right",
-        )
-        write_table(left, tmp_path / "l.tbl", chunk_rows=64)
-        reference = left_join(left, right, [("k", "rk")])
-        with make_executor(executor, n_jobs=2) as pool:
-            joined, stats = streaming_left_join(
-                open_chunks(tmp_path / "l.tbl"), right, [("k", "rk")], executor=pool
-            )
-        assert_tables_equal(joined, reference)
-        assert stats.rows_total == 500
 
     def test_zone_pruning_skips_selective_chunks(self, tmp_path):
         # sorted keys => each chunk covers a narrow range; a right side that
@@ -326,10 +296,10 @@ class TestStreamingJoin:
             name="right",
         )
         write_table(left, tmp_path / "l.tbl", chunk_rows=500)
-        pruned, stats = streaming_left_join(
+        pruned, stats = grace_left_join(
             open_chunks(tmp_path / "l.tbl"), right, [("k", "rk")]
         )
-        unpruned, _ = streaming_left_join(
+        unpruned, _ = grace_left_join(
             open_chunks(tmp_path / "l.tbl"), right, [("k", "rk")], prune=False
         )
         assert_tables_equal(pruned, unpruned)
@@ -352,7 +322,7 @@ class TestStreamingJoin:
             name="right",
         )
         write_table(left, tmp_path / "l.tbl", chunk_rows=100)
-        joined, stats = streaming_left_join(
+        joined, stats = grace_left_join(
             open_chunks(tmp_path / "l.tbl"), right, [("k", "rk")]
         )
         assert_tables_equal(joined, left_join(left, right, [("k", "rk")]))
@@ -394,15 +364,14 @@ class TestStreamingJoin:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert header.num_rows == n
-        # the whole join never holds more than a few chunk waves: far below
-        # the 4.8 MB the materialised left table (let alone its join) needs
+        # the build side fits the budget, so the join holds it plus about one
+        # base chunk: far below the 4.8 MB the materialised left table (let
+        # alone its join) needs
         assert peak - baseline < left_bytes // 2
 
 
 def _stream_join_chunks(path, right, memory_budget):
-    from repro.relational.join import iter_streaming_left_join
-
-    yield from iter_streaming_left_join(
+    yield from iter_grace_left_join(
         open_chunks(path), right, [("k", "rk")], memory_budget=memory_budget
     )
 
@@ -538,7 +507,7 @@ class TestBytesReadAccounting:
             name="r",
         )
         reader = open_chunks(path)
-        _, stats = streaming_left_join(reader, right, [("k", "rk")])
+        _, stats = grace_left_join(reader, right, [("k", "rk")])
         assert stats.chunks_total == reader.num_chunks
         assert 0.0 <= stats.pruning_ratio <= 1.0
 

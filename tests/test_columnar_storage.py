@@ -22,7 +22,7 @@ from repro.relational.aggregate import _group_rows, _group_rows_fallback, group_
 from repro.relational.column import Column
 from repro.relational.encoding import encode_features, encode_target
 from repro.relational.imputation import impute_table
-from repro.relational.join import _match_first_occurrence, _match_via_hash_index
+from repro.relational.join import _BuildKeys, _match_via_hash_index
 from repro.relational.persist import table_fingerprint
 from repro.relational.schema import CATEGORICAL
 from repro.relational.table import Table
@@ -189,7 +189,7 @@ class TestReferenceEquivalence:
         cols_l = [left.column("k"), left.column("x")]
         cols_r = [right.column("k"), right.column("x")]
         assert np.array_equal(
-            _match_first_occurrence(cols_l, cols_r), _match_via_hash_index(cols_l, cols_r)
+            _BuildKeys(cols_r).probe(cols_l), _match_via_hash_index(cols_l, cols_r)
         )
 
     @settings(max_examples=60)

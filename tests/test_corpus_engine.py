@@ -11,7 +11,9 @@ build-side-spill join advertise:
   tables and key distributions that leave partitions empty;
 * the spill join keeps aggregated build partitions resident while they fit
   the budget, so only the partitions past that prefix spill base rows and
-  outputs (pinned by the spill files it writes and its byte counters).
+  outputs (pinned by the spill files it writes and its byte counters);
+* a build side that fits the budget, or any build side without one, is
+  aggregated once in memory and spills nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.executor import make_executor
 from repro.discovery.discovery import JoinDiscovery
 from repro.discovery.repository import DataRepository
+from repro.relational.aggregate import group_by_aggregate
 from repro.relational.join import (
     StreamingHashJoin,
     StreamJoinStats,
@@ -401,4 +404,36 @@ class TestHybridResidency:
         )
         assert stats.spill_bytes_written == sum(files.values())
         assert stats.spill_bytes_read == stats.spill_bytes_written  # each read once
+        assert stats.chunks_probed == stats.chunks_total == 6
+
+
+class TestBuildThatFits:
+    @pytest.mark.parametrize("budget", [None, 96_000, 200_000])
+    def test_prepares_the_build_in_memory_and_spills_nothing(
+        self, tmp_path, monkeypatch, budget
+    ):
+        # no budget, or one at or above the raw build's 96,000-byte estimate:
+        # the build side is aggregated once, in memory, and nothing spills
+        left, right = fanout_case()
+        on = [("k", "rk")]
+        reference = left_join(left, right, on)
+        calls = []
+
+        def counting_aggregate(*args, **kwargs):
+            calls.append(args[0].num_rows)
+            return group_by_aggregate(*args, **kwargs)
+
+        monkeypatch.setattr("repro.relational.join.group_by_aggregate", counting_aggregate)
+        got, stats = grace_left_join(
+            as_chunk_source(left, chunk_rows=500),
+            right,
+            on,
+            memory_budget=budget,
+            spill_dir=tmp_path,
+        )
+        assert_tables_equal(got, reference)
+        assert stats.spill_partitions == 0
+        assert stats.spill_bytes_written == stats.spill_bytes_read == 0
+        assert list(tmp_path.rglob("*")) == []
+        assert calls == [right.num_rows]
         assert stats.chunks_probed == stats.chunks_total == 6

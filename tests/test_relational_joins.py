@@ -86,12 +86,12 @@ class TestVectorisedProbe:
 
     @staticmethod
     def _both(left, right, on):
-        from repro.relational.join import _match_first_occurrence, _match_via_hash_index
+        from repro.relational.join import _BuildKeys, _match_via_hash_index
 
         left_cols = [left.column(a) for a, _ in on]
         right_cols = [right.column(b) for _, b in on]
         return (
-            _match_first_occurrence(left_cols, right_cols),
+            _BuildKeys(right_cols).probe(left_cols),
             _match_via_hash_index(left_cols, right_cols),
         )
 

@@ -18,9 +18,10 @@ must pass:
    directions: every ``field`` (``default``) entry names an existing field
    with exactly that default, and every field has an entry.
 4. **Call signatures** — the signatures in the ``docs/API.md`` subsystem
-   tables match the code in both directions: every parameter a signature
-   names exists on the callable, and a signature not shortened with ``...``
-   names every required positional parameter.
+   tables match the code in both directions: every name a row documents
+   exists on the section's module, every parameter a signature names exists
+   on the callable, and a signature not shortened with ``...`` names every
+   required positional parameter.
 5. **README snippets** — every fenced ```` ```python ```` block in
    ``README.md`` is executed verbatim, in order, in one shared namespace
    inside a temporary working directory.  The quickstart cannot rot.
@@ -287,7 +288,14 @@ def check_call_signatures() -> list[str]:
         if module is None or not line.startswith("| `"):
             continue
         cells = line.split("|")
-        names = [name for name in _CODE_RE.findall(cells[1]) if hasattr(module, name)]
+        names = _CODE_RE.findall(cells[1])
+        absent = [name for name in names if not hasattr(module, name)]
+        if absent:
+            failures.append(
+                f"docs/API.md:{lineno}: documents {absent}, which {module.__name__} "
+                "does not export"
+            )
+            continue
         owner = getattr(module, names[0], None) if names else None
         for token in _CODE_RE.findall(cells[2]):
             form = _call_form(token)
