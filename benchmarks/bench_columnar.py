@@ -5,13 +5,14 @@ faithful copies of the legacy object-array kernels it replaced:
 
 * **join-probe** — composite-key hash-join probe on categorical keys: legacy
   factorisation (string ``np.unique`` over every row) vs dictionary-remap
-  factorisation (integer gathers only).
+  factorisation (integer gathers only); ``rows_matched`` counts its work.
 * **profile** — repository column profiling: legacy Python-loop null/distinct
   counting plus per-(value, seed) blake2b MinHash vs code-vectorised counting
   plus one-digest-per-entry MinHash.
 * **take/filter** — coreset-style row sampling: legacy eager per-column gather
   vs lazy index-backed views that only materialise the touched key column
-  (peak allocations measured with ``tracemalloc``).
+  (peak allocations measured with ``tracemalloc``); ``rows_gathered`` counts
+  its work.
 * **group-by-aggregate** — join pre-aggregation (mean + mode) of a table with
   fan-out 32–64 per key: legacy per-group ``np.nanmean`` loop vs the segment
   kernels, which must reproduce it byte for byte.
@@ -280,7 +281,13 @@ def bench_join_probe(left: Table, right: Table, repeats: int) -> dict:
     expected = _legacy_match_first_occurrence(left_arrays, right_arrays, cat_flags)
     got = _BuildKeys(right_cols).probe(left_cols)
     assert np.array_equal(expected, got), "probe results diverged"
-    return {"bench": "join-probe", "legacy_s": legacy, "new_s": new, "speedup": legacy / new}
+    return {
+        "bench": "join-probe",
+        "legacy_s": legacy,
+        "new_s": new,
+        "speedup": legacy / new,
+        "rows_matched": int((got >= 0).sum()),
+    }
 
 
 def bench_profile(left: Table, right: Table, repeats: int) -> dict:
@@ -341,6 +348,7 @@ def bench_take(left: Table, repeats: int) -> dict:
         "speedup": legacy / new,
         "legacy_peak_kb": legacy_peak / 1024,
         "new_peak_kb": new_peak / 1024,
+        "rows_gathered": len(run_new()),
     }
 
 

@@ -4,8 +4,10 @@ Times the ``repro sweep`` building blocks end to end:
 
 * **generate** — sampling scenario specs (``generate_scenario``) alone; pure
   SeedSequence arithmetic, should be effectively free next to a pipeline run.
+  ``tables`` counts the tables the specs describe.
 * **materialise** — turning specs into in-memory tables, the per-scenario
-  fixed cost every sweep pays before discovery.
+  fixed cost every sweep pays before discovery.  ``rows`` counts the base
+  and repository rows produced.
 * **scenario-p50** — the headline kernel: the **p50 wall time of one full
   scored scenario** (materialise + discovery + ARDA + plant scoring) across
   ``--scenarios`` memory-layout scenarios.  This is what bounds how many
@@ -53,14 +55,19 @@ def main() -> int:
             "bench": "generate",
             "seconds": generate_s / n_specs,
             "specs": n_specs,
+            "tables": sum(len(spec.tables) for spec in specs),
             "total_s": generate_s,
         }
     )
 
     start = time.perf_counter()
-    n_tables = 0
+    n_tables = n_rows = 0
     for spec in specs[:n_scenarios]:
-        n_tables += len(materialise_scenario(spec).repository.table_names)
+        dataset = materialise_scenario(spec)
+        n_tables += len(dataset.repository.table_names)
+        n_rows += dataset.base_table.num_rows + sum(
+            table.num_rows for table in dataset.repository
+        )
     materialise_s = (time.perf_counter() - start) / n_scenarios
     results.append(
         {
@@ -68,6 +75,7 @@ def main() -> int:
             "seconds": materialise_s,
             "scenarios": n_scenarios,
             "tables": n_tables,
+            "rows": n_rows,
         }
     )
 

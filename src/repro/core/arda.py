@@ -29,7 +29,7 @@ from repro.core.config import AUTOML_SEARCH_OPTIONS, ARDAConfig
 from repro.core.executor import make_executor
 from repro.core.join_execution import (
     join_candidates_detailed,
-    kept_build_side,
+    prepare_kept_joins,
     replay_kept_joins,
 )
 from repro.core.join_plan import build_join_plan
@@ -42,7 +42,12 @@ from repro.ml.automl import AutoMLSearch
 from repro.relational.column import Column
 from repro.relational.encoding import encode_features_binned, to_design_matrix
 from repro.relational.imputation import impute_table
-from repro.relational.join import StreamJoinStats, as_chunk_source, iter_grace_left_join
+from repro.relational.join import (
+    StreamingHashJoin,
+    StreamJoinStats,
+    as_chunk_source,
+    iter_grace_left_join,
+)
 from repro.relational.persist import write_table_stream
 from repro.relational.schema import NUMERIC
 from repro.relational.table import Table, unique_name
@@ -111,14 +116,16 @@ class ARDA:
         materialisation streams base chunks through build-once hash joins with
         zone-map pruning, writing the augmented table chunk-by-chunk to
         ``augmented_path`` (no full output is written when the path is
-        omitted).  Peak memory is bounded by the coreset plus one base chunk
-        per kept join plus the build sides; a build side estimated above
-        ``config.memory_budget`` spills to disk instead.  In this mode the
-        report's ``augmented_table`` holds the *coreset* materialisation, the
-        scores are coreset-level, ``augmented_path``/``stream_stats`` record
-        the streamed output and the per-table pruning ratios, and a kept
-        *soft* join falls back to materialising the base (soft joins need
-        global nearest-neighbour context).
+        omitted).  Each kept build side is aggregated once, and the coreset
+        replay, the streamed joins and the captured pipeline all probe it.
+        Peak memory is bounded by the coreset plus one base chunk per kept
+        join plus those build sides, which the batch loop already aggregated
+        whole, so nothing spills.  In this mode the report's
+        ``augmented_table`` holds the *coreset* materialisation, the scores
+        are coreset-level, ``augmented_path``/``stream_stats`` record the
+        streamed output and the per-table pruning ratios, and a kept *soft*
+        join falls back to materialising the base (soft joins need global
+        nearest-neighbour context).
         """
         config = self.config
         start = time.perf_counter()
@@ -308,20 +315,20 @@ class ARDA:
                     carry = [c for c in joined.column_names if c not in foreign_set or c in newly_kept]
                     working = joined.select(carry)
 
-            # final materialisation on the full base table.  In streamed mode
-            # the full output goes chunk-by-chunk to augmented_path and the
-            # in-memory materialisation (scores, pipeline capture) is done on
-            # the coreset, keeping the working set bounded.
+            # final materialisation: the kept joins are prepared once, and the
+            # score-base replay (the coreset out of core), the streamed output
+            # and the captured pipeline all probe them
             join_start = time.perf_counter()
-            stream_stats: dict[str, StreamJoinStats] | None = None
-            out_path: Path | None = None
-            augmented_full = self._materialise_kept(
-                score_base, repository, kept_specs, executor
+            prepared = prepare_kept_joins(repository, kept_specs, score_base.schema())
+            augmented_full, out_path, stream_stats = self._materialise_kept(
+                score_base,
+                repository,
+                kept_specs,
+                prepared,
+                executor,
+                source=base_source if out_of_core else None,
+                augmented_path=augmented_path,
             )
-            if out_of_core:
-                out_path, stream_stats = self._materialise_kept_streamed(
-                    base_source, repository, kept_specs, executor, augmented_path
-                )
             join_time += time.perf_counter() - join_start
         finally:
             executor.shutdown()
@@ -343,6 +350,7 @@ class ARDA:
                 augmented_table=augmented_full,
                 kept_specs=kept_specs,
                 repository=repository,
+                prepared=prepared,
                 estimator=self._make_serving_estimator(task),
                 seed=config.random_state,
                 soft_strategy=config.soft_join,
@@ -413,30 +421,6 @@ class ARDA:
             self._opened_repository_key = key
         return self._opened_repository
 
-    def _materialise_kept(
-        self,
-        base_table: Table,
-        repository: DataRepository | RepositorySnapshot,
-        kept_specs: list[tuple[JoinCandidate, list[int], list[str]]],
-        executor,
-    ) -> Table:
-        """Re-execute the kept joins on the full base table.
-
-        Delegates to :func:`repro.core.join_execution.replay_kept_joins` —
-        the same positional-match/pinned-name replay kernel serving uses
-        (see its docstring for why matching by position is required).
-        """
-        config = self.config
-        return replay_kept_joins(
-            base_table,
-            repository,
-            kept_specs,
-            soft_strategy=config.soft_join,
-            time_resample=config.time_resample,
-            rng=np.random.default_rng(config.random_state),
-            executor=executor,
-        )
-
     def _build_coreset(self, source, target: str) -> Table:
         """Coreset of the base, given as a chunk source, without materialising it.
 
@@ -473,97 +457,96 @@ class ARDA:
         indices = reduced.column(row_name).values.astype(np.int64)
         return source.take(indices)
 
-    def _materialise_kept_streamed(
+    def _materialise_kept(
         self,
-        source,
+        base: Table,
         repository: DataRepository | RepositorySnapshot,
         kept_specs: list[tuple[JoinCandidate, list[int], list[str]]],
+        prepared: list[StreamingHashJoin | None],
         executor,
-        augmented_path: str | Path | None,
-    ) -> tuple[Path | None, dict[str, StreamJoinStats]]:
-        """Stream the kept joins over every base chunk into ``augmented_path``.
+        source=None,
+        augmented_path: str | Path | None = None,
+    ) -> tuple[Table, Path | None, dict[str, StreamJoinStats] | None]:
+        """Replay the kept joins on ``base``; out of core, stream them over ``source``.
 
-        Each kept hard join becomes one
-        :func:`~repro.relational.join.iter_grace_left_join` iterator that
-        yields one output table per base chunk (build once, zone-map pruning,
-        one chunk in memory).  Every build side is first projected to its
-        keys plus the kept columns
-        (:func:`~repro.core.join_execution.kept_build_side`, which the replay
-        kernel's prepare step uses too: dropped columns are never aggregated
-        or decoded), and the join itself spills a projected build that still
-        exceeds ``config.memory_budget``.  The iterators advance in lockstep;
-        each join's output chunk ends with exactly its kept columns, which
-        are renamed to their pinned names, as
-        :func:`~repro.core.join_execution.replay_kept_joins` does, before the
-        chunk is written out through
-        :func:`~repro.relational.persist.write_table_stream`.  Concatenating
-        the output chunks equals the in-memory replay on ``source.table()``.
+        Every hard-key join probes its build side in ``prepared``
+        (:func:`~repro.core.join_execution.prepare_kept_joins` of
+        ``kept_specs``), so nothing is projected, aggregated or spilled here.
+        ``base`` is replayed by
+        :func:`~repro.core.join_execution.replay_kept_joins`, the kernel
+        serving uses.  With a ``source``, each kept hard join is one
+        :func:`~repro.relational.join.iter_grace_left_join` iterator over its
+        prepared build side (zone-map pruning, one base chunk in memory); the
+        iterators advance in lockstep, each output chunk's kept columns take
+        their pinned names, and the chunks go to ``augmented_path`` through
+        :func:`~repro.relational.persist.write_table_stream`, equal to the
+        replay of ``source.table()``.  A kept *soft* join needs global
+        nearest-neighbour context, so it falls back to that replay, in memory.
 
-        A kept *soft* join needs global nearest-neighbour context, so its
-        presence falls back to one in-memory replay of the whole base
-        (streamed back out afterwards).
-
-        Returns the written path (``None`` when no path was given) and
-        per-foreign-table pruning stats.
+        Returns the replay of ``base``, the written path (``None`` without
+        ``augmented_path``) and per-foreign-table join stats (``None``
+        without a ``source``).
         """
         config = self.config
-        stats: dict[str, StreamJoinStats] = {}
-        if augmented_path is None:
-            return None, stats
-        augmented_path = Path(augmented_path)
-        if any(spec[0].is_soft for spec in kept_specs):
-            full = replay_kept_joins(
-                source.table(),
+
+        def replay(table: Table) -> Table:
+            return replay_kept_joins(
+                table,
                 repository,
                 kept_specs,
                 soft_strategy=config.soft_join,
                 time_resample=config.time_resample,
                 rng=np.random.default_rng(config.random_state),
                 executor=executor,
+                prepared=prepared,
             )
+
+        augmented = replay(base)
+        if source is None:
+            return augmented, None, None
+        stats: dict[str, StreamJoinStats] = {}
+        if augmented_path is None:
+            return augmented, None, stats
+        augmented_path = Path(augmented_path)
+        if any(spec[0].is_soft for spec in kept_specs):
+            full = replay(source.table())
             write_table_stream(
                 augmented_path,
                 as_chunk_source(full, chunk_rows=config.chunk_rows).iter_chunks(),
                 name=source.name,
                 chunk_rows=config.chunk_rows,
             )
-            return augmented_path, stats
+            return augmented, augmented_path, stats
 
         width = len(source.column_names)
         # per kept join: its output-chunk iterator and pinned names
-        joins: list[tuple[Iterator[Table], list[str]]] = []
-        for candidate, positions, names in kept_specs:
-            projected = kept_build_side(
-                repository.get(candidate.foreign_table), candidate, positions
+        joins: list[tuple[Iterator[Table], list[str]]] = [
+            (
+                iter_grace_left_join(
+                    source,
+                    build,
+                    candidate.key_pairs(),
+                    stats=stats.setdefault(candidate.foreign_table, StreamJoinStats()),
+                ),
+                names,
             )
-            joined = iter_grace_left_join(
-                source,
-                as_chunk_source(projected, chunk_rows=config.chunk_rows),
-                on=candidate.key_pairs(),
-                memory_budget=config.memory_budget,
-                spill_dir=config.spill_dir,
-                stats=stats.setdefault(candidate.foreign_table, StreamJoinStats()),
-            )
-            joins.append((joined, names))
+            for (candidate, _positions, names), build in zip(kept_specs, prepared)
+        ]
 
         def augmented_chunks() -> Iterator[Table]:
             if not joins:
                 yield from source.iter_chunks()
                 return
-            try:
-                for outs in zip(*(joined for joined, _names in joins)):
-                    columns = outs[0].columns()[:width]
-                    # each output chunk is the base chunk followed by exactly
-                    # the kept columns, in position order
-                    for out, (_joined, names) in zip(outs, joins):
-                        columns.extend(
-                            column.rename(name)
-                            for column, name in zip(out.columns()[width:], names)
-                        )
-                    yield Table(columns, name=source.name)
-            finally:
-                for joined, _names in joins:
-                    joined.close()  # a spill join removes its files on close
+            for outs in zip(*(joined for joined, _names in joins)):
+                columns = outs[0].columns()[:width]
+                # each output chunk is the base chunk followed by exactly the
+                # kept columns, in position order
+                for out, (_joined, names) in zip(outs, joins):
+                    columns.extend(
+                        column.rename(name)
+                        for column, name in zip(out.columns()[width:], names)
+                    )
+                yield Table(columns, name=source.name)
 
         write_table_stream(
             augmented_path,
@@ -571,7 +554,7 @@ class ARDA:
             name=source.name,
             chunk_rows=config.chunk_rows,
         )
-        return augmented_path, stats
+        return augmented, augmented_path, stats
 
     def _selector_options(self) -> dict:
         """Selector kwargs from config; RIFS inherits the engine-level knobs.

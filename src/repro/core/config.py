@@ -110,22 +110,8 @@ class ARDAConfig:
         ``0`` writes one row group per file.  Reading is layout-transparent
         either way.
     memory_budget:
-        Soft cap, in bytes, on the build sides the chunked join holds in
-        memory.  Each kept join of an out-of-core run streams the base one
-        chunk at a time through a hybrid hash join; a build (right) side
-        whose estimated size exceeds the budget is hash-partitioned to disk
-        and each partition is pre-aggregated once.  Aggregated partitions
-        stay in memory while they fit the budget, and only base rows of the
-        rest spill and join partition by partition (identical output; peak
-        heap one raw partition plus the resident partitions plus one base
-        chunk).  ``None`` (default) defers to the ``ARDA_MEMORY_BUDGET``
-        environment variable (bytes) when that is set, and otherwise never
-        spills.  This bounds the pipeline's working set; it never changes
-        results.
-    spill_dir:
-        Directory for Grace spill files (a uniquely-named subdirectory is
-        created per spilling join and removed afterwards).  ``None`` uses the
-        system temp dir.
+        Accepted and not read (``None`` or a positive byte count): ARDA
+        prepares each kept build side once, in memory, and never spills.
     capture_pipeline:
         Capture a servable :class:`~repro.serving.pipeline.FittedPipeline`
         (accepted join plan, fitted encoders/imputers, selected features,
@@ -160,12 +146,9 @@ class ARDAConfig:
     max_bins: int = 255
     chunk_rows: int | None = None
     memory_budget: int | None = None
-    spill_dir: str | None = None
     capture_pipeline: bool = True
 
     def __post_init__(self):
-        import os
-
         from repro.core.executor import EXECUTOR_NAMES
         from repro.ml.binning import TREE_METHODS, check_max_bins
 
@@ -196,16 +179,6 @@ class ARDAConfig:
             raise ValueError("lru_tables must be None or >= 1")
         if self.chunk_rows is not None and self.chunk_rows < 0:
             raise ValueError("chunk_rows must be None, 0 (one row group) or positive")
-        if self.memory_budget is None:
-            env_budget = os.environ.get("ARDA_MEMORY_BUDGET", "").strip()
-            if env_budget:
-                try:
-                    self.memory_budget = int(env_budget)
-                except ValueError:
-                    raise ValueError(
-                        f"ARDA_MEMORY_BUDGET must be an integer byte count, "
-                        f"got {env_budget!r}"
-                    ) from None
         if self.memory_budget is not None and self.memory_budget < 1:
             raise ValueError("memory_budget must be None or a positive byte count")
 

@@ -19,7 +19,8 @@ joined as a single chunk.
 :func:`iter_grace_left_join` is the one chunked LEFT join: a hybrid hash
 join that streams a base source (a
 :class:`~repro.relational.persist.ChunkedTableReader` or a :class:`Table`)
-one chunk at a time.  A build side whose estimated bytes fit
+one chunk at a time.  A build side handed in already prepared (a
+:class:`StreamingHashJoin`) is probed as is.  One whose estimated bytes fit
 ``memory_budget`` (or any build side, without a budget) is prepared in
 memory as one :class:`StreamingHashJoin` and nothing spills.  A larger one
 is hash-partitioned on the key values into spill files
@@ -538,7 +539,7 @@ class KeyRangePruner:
         self.left_keys = [pair[0] for pair in self.on]
         self.left_schema = left_schema
         self.ranges = list(ranges)
-        self._base_code_cache: dict[str, np.ndarray] = {}
+        self._base_code_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def cat_keys(self) -> list[str]:
@@ -583,15 +584,15 @@ class KeyRangePruner:
         return True
 
     def _base_key_codes(self, left_key: str, dictionary: np.ndarray) -> np.ndarray:
-        """Sorted base-dictionary codes of the build side's key values."""
+        """Sorted base-dictionary codes of the build side's key values (cached per dictionary)."""
         cached = self._base_code_cache.get(left_key)
-        if cached is None:
+        if cached is None or cached[0] is not dictionary:
             rng = self.ranges[self.left_keys.index(left_key)]
             index = {text: code for code, text in enumerate(dictionary)}
             codes = [index[text] for text in rng[1] if text in index]
-            cached = np.sort(np.asarray(codes, dtype=np.int64))
+            cached = (dictionary, np.sort(np.asarray(codes, dtype=np.int64)))
             self._base_code_cache[left_key] = cached
-        return cached
+        return cached[1]
 
     def sorted_window(self, source) -> tuple[int, int] | None:
         """Half-open candidate chunk range of a sort-ordered source, or ``None``.
@@ -1006,14 +1007,18 @@ def iter_grace_left_join(
     """Hybrid hash LEFT join of ``source`` (chunked) against ``right``: yields
     one output table per base chunk, in base order.
 
-    ``source`` and ``right`` are each a
-    :class:`~repro.relational.persist.ChunkedTableReader` or a
-    :class:`Table`.  With no ``num_partitions`` and a build side whose
-    estimated bytes (:func:`estimate_source_nbytes`) fit ``memory_budget``,
-    or no budget at all, the build side is prepared in memory as one
-    :class:`StreamingHashJoin` and nothing spills: the outcome of the phases
-    below when every partition stays resident, without the disk round trip.
-    Otherwise the raw build side is never materialised in full:
+    ``source`` is a :class:`~repro.relational.persist.ChunkedTableReader` or
+    a :class:`Table`, and so is ``right`` unless it is a
+    :class:`StreamingHashJoin` already prepared on ``on`` against the
+    source's schema: that build side is resident as is, never aggregated or
+    spilled again (the other build-side arguments do not apply), and only
+    step 4 below runs.  Otherwise, with no ``num_partitions`` and a build
+    side whose estimated bytes (:func:`estimate_source_nbytes`) fit
+    ``memory_budget``, or no budget at all, the build side is prepared in
+    memory as one :class:`StreamingHashJoin` and nothing spills: the outcome
+    of the phases below when every partition stays resident, without the
+    disk round trip.  Past the budget the raw build side is never
+    materialised in full:
 
     1. The build side is hash-partitioned on its key *values* into spill
        files, in one streaming pass.
@@ -1053,25 +1058,29 @@ def iter_grace_left_join(
     if not on:
         raise ValueError("a LEFT join requires at least one key pair")
     source = as_chunk_source(source)
-    right_source = as_chunk_source(right)
     on = [(left, right_key) for left, right_key in on]
     left_keys = [pair[0] for pair in on]
     right_keys = [pair[1] for pair in on]
     left_schema = source.schema()
-    right_schema = right_source.schema()
     for key in left_keys:
         if key not in left_schema:
             raise KeyError(f"left source has no key column {key!r}")
-    for key in right_keys:
-        if key not in right_schema:
-            raise KeyError(f"right source has no key column {key!r}")
+    resident = right if isinstance(right, StreamingHashJoin) else None
+    if resident is None:
+        right_source = as_chunk_source(right)
+        right_schema = right_source.schema()
+        for key in right_keys:
+            if key not in right_schema:
+                raise KeyError(f"right source has no key column {key!r}")
+    elif resident.on != on:
+        raise ValueError(f"the prepared build side joins on {resident.on}, not {on}")
     if stats is None:
         stats = StreamJoinStats()
     stats.chunks_total += source.num_chunks
     stats.rows_total += source.num_rows
 
     budget = memory_budget if memory_budget and memory_budget > 0 else None
-    if num_partitions is None:
+    if resident is None and num_partitions is None:
         right_nbytes = estimate_source_nbytes(right_source) if budget else 0
         if budget is None or right_nbytes <= budget:
             resident = StreamingHashJoin(
@@ -1081,10 +1090,12 @@ def iter_grace_left_join(
                 suffix=suffix,
                 aggregate_duplicates=aggregate_duplicates,
             )
-            pruned = _pruned_flags(source, lambda: resident.pruner, prune)
-            yield from _probe_base_chunks(source, resident, pruned, [], {}, stats)
-            return
-        num_partitions = -(-right_nbytes // budget)
+        else:
+            num_partitions = -(-right_nbytes // budget)
+    if resident is not None:
+        pruned = _pruned_flags(source, lambda: resident.pruner, prune)
+        yield from _probe_base_chunks(source, resident, pruned, [], {}, stats)
+        return
     num_partitions = int(max(1, min(num_partitions, 512)))
     stats.spill_partitions += num_partitions
 

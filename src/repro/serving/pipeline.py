@@ -56,7 +56,7 @@ from repro.discovery.repository import DataRepository, RepositorySnapshot
 from repro.ml.persistence import estimator_from_state, estimator_to_state
 from repro.relational.encoding import ColumnEncoderState, FittedEncoder
 from repro.relational.imputation import ColumnImputeState, FittedImputer
-from repro.relational.join import as_chunk_source
+from repro.relational.join import StreamingHashJoin, as_chunk_source
 from repro.relational.schema import CATEGORICAL, ColumnType, Schema
 from repro.relational.table import Table
 from repro.selection.base import CLASSIFICATION, FeatureProvenance
@@ -394,9 +394,9 @@ class FittedPipeline:
         keep the input out-of-core.
 
         Hard-key joins probe build sides prepared once per bound view (by
-        :meth:`warm`, or else by the first transform), so a call pays only
-        per-row work; ``executor`` runs the soft-key joins, which need the
-        rows themselves.
+        the training run that captured the pipeline, by :meth:`warm`, or
+        else by the first transform), so a call pays only per-row work;
+        ``executor`` runs the soft-key joins, which need the rows themselves.
         """
         base = self._check_rows(as_chunk_source(rows).table())
         if self.joins:
@@ -707,6 +707,7 @@ def fit_pipeline_from_training(
     augmented_table: Table,
     kept_specs: list[tuple[JoinCandidate, list[int], list[str]]],
     repository: DataRepository,
+    prepared: list[StreamingHashJoin | None],
     estimator,
     seed: int,
     soft_strategy: str,
@@ -720,9 +721,11 @@ def fit_pipeline_from_training(
     Fits the imputer and encoder on the augmented training table (producing
     the training design matrix through the same kernels serving will use),
     trains ``estimator`` on the full matrix, fingerprints the kept foreign
-    tables, and assembles the pipeline.  Returns
-    ``(pipeline, X_train, y_train)`` so the caller can score without
-    re-encoding.
+    tables, and assembles the pipeline, bound to ``repository`` with the
+    run's ``prepared`` kept joins (its
+    :func:`~repro.core.join_execution.prepare_kept_joins`), so its first
+    transform prepares nothing.  Returns ``(pipeline, X_train, y_train)`` so
+    the caller can score without re-encoding.
     """
     from repro.relational.encoding import encode_target
 
@@ -789,6 +792,7 @@ def fit_pipeline_from_training(
     # already the validated view — keep it without re-pinning
     pipeline._repository = repository
     pipeline._bound_source = repository
+    pipeline._prepared = (repository, list(kept_specs), prepared)
     return pipeline, encoded.matrix, y
 
 

@@ -7,11 +7,13 @@ zone-map-pruned streaming join is *result-equivalent* to the in-memory join
 (pruned ≡ unpruned ≡ ``left_join``), and chunk-wise profiling/binning produce
 the same artifacts as their whole-table counterparts.  Around them sit the
 operational pieces: per-kind ``bytes_read`` accounting, the ``repro repo``
-maintenance CLI, atomic ``rechunk``, and a tracemalloc-bounded end-to-end
-``augment`` + ``predict`` over a base table several times the memory budget.
+maintenance CLI, atomic ``rechunk``, a tracemalloc-bounded end-to-end
+``augment`` + ``predict`` over a chunked base, and the kept build sides one
+out-of-core run prepares once for every consumer.
 """
 
 import json
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -20,12 +22,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ARDA, ARDAConfig
 from repro.cli import main as cli_main
-from repro.core.join_execution import replay_kept_joins
+from repro.core.join_execution import (
+    kept_build_side,
+    prepare_kept_joins,
+    replay_kept_joins,
+)
 from repro.coreset import make_coreset_builder
 from repro.discovery.candidates import JoinCandidate, KeyPair
 from repro.discovery.profiles import profile_table, profile_table_chunks
 from repro.discovery.repository import DataRepository
 from repro.ml.binning import BinnedMatrix
+from repro.relational.aggregate import group_by_aggregate, is_unique_on
 from repro.relational.join import (
     as_chunk_source,
     grace_left_join,
@@ -47,6 +54,7 @@ from repro.relational.persist import (
 )
 from repro.relational.schema import CATEGORICAL, NUMERIC
 from repro.relational.table import Table
+from repro.serving.pipeline import FittedPipeline
 from v1_reference import write_table_v1
 
 # -- strategies -------------------------------------------------------------
@@ -668,13 +676,11 @@ class TestOutOfCoreAugment:
         base_path = tmp / "base.tbl"
         write_table(base, base_path, chunk_rows=7500)
         base_bytes = n * 6 * 8  # 7.2 MB of float64 pages
-        memory_budget = base_bytes // 5  # base is 5x the budget
 
         config = ARDAConfig(
             coreset_size=2000,
             random_state=0,
             chunk_rows=7500,
-            memory_budget=memory_budget,
             selector="random forest",
             estimator_options={"n_estimators": 10},
         )
@@ -698,7 +704,6 @@ class TestOutOfCoreAugment:
         return {
             "base": base,
             "base_bytes": base_bytes,
-            "memory_budget": memory_budget,
             "out_path": out_path,
             "streamed": streamed,
             "in_memory": in_memory,
@@ -734,12 +739,12 @@ class TestOutOfCoreAugment:
         assert r2 > 0.9
 
     def test_peak_memory_stays_bounded(self, out_of_core_run):
-        # augment + predict over a base 5x the memory budget: the traced
-        # working set stays within a couple of base-table sizes (coreset +
-        # one chunk wave + models + the O(n) predictions vector), far below
-        # the several-fold blowup of materialising and joining in memory
+        # augment + predict over a 7.2-MB base read one chunk at a time: the
+        # traced working set stays within a couple of base-table sizes
+        # (coreset + one base chunk per kept join + the aggregated build
+        # sides + models + the O(n) predictions vector), far below the
+        # several-fold blowup of materialising and joining in memory
         assert out_of_core_run["streamed"].stream_stats  # took the streamed path
-        assert out_of_core_run["base_bytes"] >= 4 * out_of_core_run["memory_budget"]
         assert out_of_core_run["peak"] < 2 * out_of_core_run["base_bytes"]
 
 
@@ -822,7 +827,7 @@ class TestTableIsOneChunkSource:
             open_chunks(tmp_path / "augmented.tbl").table(), in_memory.augmented_table
         )
 
-    def test_lockstep_hash_and_grace_joins_equal_replay(self, tmp_path):
+    def test_lockstep_hash_and_grace_joins_equal_replay(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
         n = 3000
         base = Table.from_dict(
@@ -857,22 +862,194 @@ class TestTableIsOneChunkSource:
             (JoinCandidate("small", [KeyPair("c", "c")]), [0], ["small_m"]),
         ]
         # projected builds: big keeps k, z, b (400 rows x 3 x 8 bytes = 9,600),
-        # small keeps c, m (960): a 4,000-byte budget spills big alone
-        spill_dir = tmp_path / "spill"
-        config = ARDAConfig(memory_budget=4000, chunk_rows=500, spill_dir=str(spill_dir))
-        out, stats = ARDA(config)._materialise_kept_streamed(
-            open_chunks(tmp_path / "base.tbl"),
+        # small keeps c, m (960).  A 4,000-byte budget would spill big, but
+        # the materialiser probes the builds prepared once and reads no budget
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        config = ARDAConfig(memory_budget=4000, chunk_rows=500)
+        replayed, out, stats = ARDA(config)._materialise_kept(
+            base,
             repository,
             specs,
+            prepare_kept_joins(repository, specs, base.schema()),
             executor=None,
+            source=open_chunks(tmp_path / "base.tbl"),
             augmented_path=tmp_path / "out.tbl",
         )
-        assert_tables_equal(
-            open_chunks(out).table(), replay_kept_joins(base, repository, specs)
-        )
-        assert stats["big"].spill_partitions == 3  # Grace
-        assert stats["small"].spill_partitions == 0  # in-memory hash join
+        expected = replay_kept_joins(base, repository, specs)
+        assert_tables_equal(replayed, expected)
+        assert_tables_equal(open_chunks(out).table(), expected)
+        assert sorted(stats) == ["big", "small"]
         for table_stats in stats.values():
+            assert table_stats.spill_partitions == table_stats.spill_bytes_written == 0
             assert table_stats.chunks_total == table_stats.chunks_probed == 6
             assert table_stats.rows_total == n
-        assert list(spill_dir.iterdir()) == []  # spill files removed
+        assert list(temp_root.glob("arda-spill-*")) == []
+
+
+# -- each kept build side is prepared once per run --------------------------
+
+
+def _aggregate_recorder(monkeypatch) -> list[frozenset]:
+    """Record the column set of every build side the join layer aggregates."""
+    calls: list[frozenset] = []
+
+    def recording_aggregate(table, *args, **kwargs):
+        calls.append(frozenset(table.column_names))
+        return group_by_aggregate(table, *args, **kwargs)
+
+    monkeypatch.setattr("repro.relational.join.group_by_aggregate", recording_aggregate)
+    return calls
+
+
+class TestKeptJoinsPreparedOnce:
+    """The coreset replay, the streamed output and the captured pipeline probe
+    one prepared copy of each kept build side."""
+
+    @staticmethod
+    def _scenario():
+        rng = np.random.default_rng(23)
+        n, entities, fan_out = 1500, 150, 4
+        level = rng.normal(size=entities)
+        key = rng.integers(0, entities, n)
+        base = Table.from_dict(
+            {
+                "cust_id": key.astype(float),
+                "x1": np.round(rng.normal(size=n), 2),
+                "y": level[key] + rng.normal(scale=0.1, size=n),
+            },
+            types={"cust_id": NUMERIC, "x1": NUMERIC, "y": NUMERIC},
+            name="base",
+        )
+        visit_key = np.repeat(np.arange(entities), fan_out)
+        visits = Table.from_dict(  # fan-out: 4 rows per key, pre-aggregated
+            {
+                "cust_id": visit_key.astype(float),
+                "spend": level[visit_key] + rng.normal(scale=0.05, size=len(visit_key)),
+                "junk": rng.normal(size=len(visit_key)),
+            },
+            types={"cust_id": NUMERIC, "spend": NUMERIC, "junk": NUMERIC},
+            name="visits",
+        )
+        candidates = [JoinCandidate("visits", [KeyPair("cust_id", "cust_id")])]
+        return base, DataRepository([visits]), candidates
+
+    def _augment(self, tmp_path, config):
+        base, repository, candidates = self._scenario()
+        write_table(base, tmp_path / "base.tbl", chunk_rows=250)
+        report = ARDA(config).augment_tables(
+            open_chunks(tmp_path / "base.tbl"),
+            repository,
+            target="y",
+            candidates=candidates,
+            task="regression",
+            augmented_path=tmp_path / "augmented.tbl",
+        )
+        return base, repository, report
+
+    @staticmethod
+    def _kept_projections(repository, report) -> list[frozenset]:
+        """The column set of each kept fan-out join's projected build side."""
+        projections = []
+        for step in report.pipeline.joins:
+            candidate = step.to_candidate()
+            foreign = repository.get(step.foreign_table)
+            if is_unique_on(foreign, candidate.foreign_columns):
+                continue
+            projected = kept_build_side(foreign, candidate, step.positions)
+            # the batch loop aggregates the whole table, a different set
+            assert projected.num_columns < foreign.num_columns
+            projections.append(frozenset(projected.column_names))
+        assert projections  # the scenario keeps a fan-out join
+        return projections
+
+    @pytest.mark.parametrize("memory_budget", [None, 4000])
+    def test_each_kept_fanout_build_aggregates_once(
+        self, tmp_path, monkeypatch, memory_budget
+    ):
+        calls = _aggregate_recorder(monkeypatch)
+        config = ARDAConfig(
+            coreset_size=300, random_state=0, chunk_rows=250, memory_budget=memory_budget
+        )
+        _base, repository, report = self._augment(tmp_path, config)
+        for projection in self._kept_projections(repository, report):
+            assert calls.count(projection) == 1
+        assert report.stream_stats
+        for table_stats in report.stream_stats.values():
+            assert table_stats.spill_partitions == table_stats.spill_bytes_written == 0
+            assert table_stats.chunks_total == 6
+
+    def test_captured_pipeline_first_predict_prepares_nothing(self, tmp_path, monkeypatch):
+        config = ARDAConfig(coreset_size=300, random_state=0, chunk_rows=250)
+        base, repository, report = self._augment(tmp_path, config)
+        self._kept_projections(repository, report)
+        calls = _aggregate_recorder(monkeypatch)
+        rows = base.head(64)
+        predictions = report.pipeline.predict(rows)  # the captured view
+        assert calls == []
+        # and the prepared replay predicts what a freshly bound pipeline does
+        report.pipeline.save(tmp_path / "model.rpro")
+        loaded = FittedPipeline.load(tmp_path / "model.rpro", repository=repository)
+        assert np.array_equal(loaded.predict(rows), predictions)
+        loaded.release()
+
+    def test_kept_soft_join_falls_back_to_one_replay_of_the_base(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(13)
+        n = 2000
+        base = Table.from_dict(
+            {
+                "k": rng.integers(0, 100, n).astype(float),
+                "t": np.round(rng.uniform(0, 50, n), 1),
+                "x": rng.normal(size=n),
+            },
+            types={"k": NUMERIC, "t": NUMERIC, "x": NUMERIC},
+            name="base",
+        )
+        fan = Table.from_dict(  # fan-out: 3 rows per key
+            {
+                "k": np.repeat(np.arange(100, dtype=float), 3),
+                "m": rng.normal(size=300),
+                "junk": rng.normal(size=300),
+            },
+            types={"k": NUMERIC, "m": NUMERIC, "junk": NUMERIC},
+            name="fan",
+        )
+        series = Table.from_dict(  # a coarser numeric key: two-way nearest
+            {
+                "t": np.arange(0.0, 50.0, 2.5),
+                "v": rng.normal(size=20),
+                "c": [f"c{i % 3}" for i in range(20)],
+            },
+            types={"t": NUMERIC, "v": NUMERIC, "c": CATEGORICAL},
+            name="series",
+        )
+        repository = DataRepository([fan, series])
+        write_table(base, tmp_path / "base.tbl", chunk_rows=500)
+        reader = open_chunks(tmp_path / "base.tbl")
+        assert reader.num_chunks == 4
+        hard = JoinCandidate("fan", [KeyPair("k", "k")])
+        specs = [
+            (hard, [0], ["fan_m"]),
+            (JoinCandidate("series", [KeyPair("t", "t", soft=True)]), [1, 0], ["s_c", "s_v"]),
+        ]
+        config = ARDAConfig(random_state=3, chunk_rows=500)
+        calls = _aggregate_recorder(monkeypatch)
+        _replayed, out, stats = ARDA(config)._materialise_kept(
+            base.head(100),
+            repository,
+            specs,
+            prepare_kept_joins(repository, specs, base.schema()),
+            executor=None,
+            source=reader,
+            augmented_path=tmp_path / "out.tbl",
+        )
+        projection = frozenset(kept_build_side(fan, hard, [0]).column_names)
+        assert calls.count(projection) == 1
+        assert stats == {}
+        expected = replay_kept_joins(
+            reader.table(), repository, specs, rng=np.random.default_rng(3)
+        )
+        assert_tables_equal(open_chunks(out).table(), expected)

@@ -13,7 +13,9 @@ build-side-spill join advertise:
   the budget, so only the partitions past that prefix spill base rows and
   outputs (pinned by the spill files it writes and its byte counters);
 * a build side that fits the budget, or any build side without one, is
-  aggregated once in memory and spills nothing.
+  aggregated once in memory and spills nothing;
+* a build side handed in already prepared is probed as is, whatever the
+  budget, and prunes through its own key ranges.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.relational.join import (
     iter_grace_left_join,
     left_join,
 )
-from repro.relational.persist import open_chunks
+from repro.relational.persist import open_chunks, write_table
 from repro.relational.schema import CATEGORICAL, NUMERIC
 from repro.relational.table import Table
 from stress import deep_settings
@@ -437,3 +439,83 @@ class TestBuildThatFits:
         assert list(tmp_path.rglob("*")) == []
         assert calls == [right.num_rows]
         assert stats.chunks_probed == stats.chunks_total == 6
+
+
+class TestPreparedBuildSide:
+    @pytest.mark.parametrize("budget", [None, 1, 40_000])
+    def test_probes_the_prepared_build_as_is(self, tmp_path, monkeypatch, budget):
+        # every budget, even one that would spill all three partitions of the
+        # raw build: the prepared build is resident as is and nothing spills
+        left, right = fanout_case()
+        on = [("k", "rk")]
+        reference = left_join(left, right, on)
+        prepared = StreamingHashJoin(right, on, left.schema())
+        calls = []
+
+        def counting_aggregate(*args, **kwargs):
+            calls.append(args[0].num_rows)
+            return group_by_aggregate(*args, **kwargs)
+
+        monkeypatch.setattr("repro.relational.join.group_by_aggregate", counting_aggregate)
+        got, stats = grace_left_join(
+            as_chunk_source(left, chunk_rows=500),
+            prepared,
+            on,
+            memory_budget=budget,
+            spill_dir=tmp_path,
+        )
+        assert_tables_equal(got, reference)
+        assert calls == []
+        assert stats.spill_partitions == 0
+        assert stats.spill_bytes_written == stats.spill_bytes_read == 0
+        assert list(tmp_path.rglob("*")) == []
+        assert stats.chunks_probed == stats.chunks_total == 6
+        assert stats.rows_probed == stats.rows_total == left.num_rows
+
+    def test_checks_the_keys(self):
+        left, right = fanout_case()
+        prepared = StreamingHashJoin(right, [("k", "rk")], left.schema())
+        with pytest.raises(KeyError, match="left source has no key column 'k'"):
+            next(iter_grace_left_join(left.select(["x"]), prepared, [("k", "rk")]))
+        with pytest.raises(ValueError, match="prepared build side joins on"):
+            next(iter_grace_left_join(left, prepared, [("x", "rk")]))
+
+    def test_prunes_each_source_through_the_prepared_pruner(self, tmp_path):
+        # one prepared categorical-key build, two sources whose dictionaries
+        # code the same strings differently: each source prunes through the
+        # build's own key ranges, translated through its own dictionary
+        right = Table.from_dict(
+            {"rk": ["m", "n"], "v": [1.0, 2.0]},
+            types={"rk": CATEGORICAL, "v": NUMERIC},
+            name="build",
+        )
+        on = [("k", "rk")]
+        sources = {
+            "first": ["a"] * 4 + ["m"] * 4 + ["z"] * 4,
+            "second": ["m"] * 4 + ["q"] * 4 + ["n"] * 4,
+        }
+        prepared = None
+        for name, keys in sources.items():
+            left = Table.from_dict(
+                {"k": keys, "x": [float(i) for i in range(len(keys))]},
+                types={"k": CATEGORICAL, "x": NUMERIC},
+                name=name,
+            )
+            write_table(left, tmp_path / f"{name}.tbl", chunk_rows=4)
+            if prepared is None:
+                prepared = StreamingHashJoin(right, on, left.schema())
+            stats = StreamJoinStats()
+            got = list(
+                iter_grace_left_join(
+                    open_chunks(tmp_path / f"{name}.tbl"), prepared, on, stats=stats
+                )
+            )
+            reference = left_join(left, right, on)
+            offset = 0
+            for chunk in got:
+                stop = offset + chunk.num_rows
+                assert_tables_equal(chunk, reference.take(np.arange(offset, stop)))
+                offset = stop
+            assert offset == left.num_rows
+            assert (stats.chunks_total, stats.chunks_probed) == (3, 2 if name == "second" else 1)
+        assert "pruner" in vars(prepared)  # the prepared join's own pruner

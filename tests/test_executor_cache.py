@@ -325,7 +325,7 @@ class TestFinalMaterialisation:
     during the coreset batch loop."""
 
     def test_materialise_kept_restores_loop_names_and_values(self):
-        from repro.core.join_execution import join_candidates_detailed
+        from repro.core.join_execution import join_candidates_detailed, prepare_kept_joins
         from repro.discovery.candidates import JoinCandidate, KeyPair
 
         base = Table.from_dict(
@@ -345,8 +345,9 @@ class TestFinalMaterialisation:
         # during the batch loop this candidate's second column collided with a
         # carried column and was kept under the suffixed name "t.x_r"
         kept_specs = [(candidate, [1], ["t.x_r"])]
-        out = ARDA(ARDAConfig())._materialise_kept(
-            base, repo, kept_specs, SerialJoinExecutor()
+        prepared = prepare_kept_joins(repo, kept_specs, base.schema())
+        out, _path, _stats = ARDA(ARDAConfig())._materialise_kept(
+            base, repo, kept_specs, prepared, SerialJoinExecutor()
         )
         assert out.column_names == ["entity_id", "target", "t.x_r"]
         # joined via key2: base entity 0 matches the t row whose key2 is 0 -> x=40

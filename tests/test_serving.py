@@ -715,13 +715,15 @@ class TestAggregateOnce:
             (JoinCandidate(name, [KeyPair("k", "k")]), [0], [f"{name}.{column}"])
             for name, column in (("dup_a", "a"), ("dup_b", "b"), ("uniq", "u"))
         ]
+        prepared = prepare_kept_joins(repository, specs, base.schema())
         pipeline, _X, _y = fit_pipeline_from_training(
             target="y",
             task="regression",
             base_table=base,
-            augmented_table=replay_kept_joins(base, repository, specs),
+            augmented_table=replay_kept_joins(base, repository, specs, prepared=prepared),
             kept_specs=specs,
             repository=repository,
+            prepared=prepared,
             estimator=RandomForestRegressor(n_estimators=3, random_state=0),
             seed=0,
             soft_strategy="two_way_nearest",
