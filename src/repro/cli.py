@@ -123,12 +123,7 @@ def _cmd_score(args) -> int:
         )
         return 2
     rows = _load_rows(args.rows)
-    predictions = pipeline.predict(
-        rows,
-        batch_rows=args.batch_rows,
-        executor=args.executor,
-        n_jobs=args.n_jobs,
-    )
+    predictions = pipeline.predict(rows, batch_rows=args.batch_rows)
     out = Table([Column("prediction", list(predictions))], name="predictions")
     if args.output is not None:
         write_csv(out, args.output)
@@ -152,8 +147,6 @@ def _cmd_server(args) -> int:
         max_request_rows=args.max_request_rows,
         reload_interval_s=args.reload_interval,
         drain_timeout_s=args.drain_timeout,
-        executor=args.executor,
-        n_jobs=args.n_jobs,
     )
     import signal
     import threading
@@ -421,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-rows", type=int, default=None,
         help="stream in micro-batches of this many rows (bounded memory)",
     )
-    score.add_argument("--executor", default="serial", choices=["serial", "thread", "process"])
-    score.add_argument("--n-jobs", type=int, default=None)
     score.add_argument("--lru-tables", type=int, default=16)
     score.add_argument("--head", type=int, default=10, help="predictions to print without --output")
     score.set_defaults(func=_cmd_score)
@@ -449,9 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between hot-reload checks (0 disables the watcher)",
     )
     server.add_argument("--drain-timeout", type=float, default=defaults.drain_timeout_s)
-    server.add_argument("--executor", default=defaults.executor,
-                        choices=["serial", "thread", "process"])
-    server.add_argument("--n-jobs", type=int, default=defaults.n_jobs)
     server.set_defaults(func=_cmd_server)
 
     sweep = sub.add_parser(

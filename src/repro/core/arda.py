@@ -314,24 +314,23 @@ class ARDA:
                     # co-predictors that span tables
                     carry = [c for c in joined.column_names if c not in foreign_set or c in newly_kept]
                     working = joined.select(carry)
-
-            # final materialisation: the kept joins are prepared once, and the
-            # score-base replay (the coreset out of core), the streamed output
-            # and the captured pipeline all probe them
-            join_start = time.perf_counter()
-            prepared = prepare_kept_joins(repository, kept_specs, score_base.schema())
-            augmented_full, out_path, stream_stats = self._materialise_kept(
-                score_base,
-                repository,
-                kept_specs,
-                prepared,
-                executor,
-                source=base_source if out_of_core else None,
-                augmented_path=augmented_path,
-            )
-            join_time += time.perf_counter() - join_start
         finally:
             executor.shutdown()
+
+        # final materialisation: the kept joins are prepared once, and the
+        # score-base replay (the coreset out of core), the streamed output and
+        # the captured pipeline all probe them
+        join_start = time.perf_counter()
+        prepared = prepare_kept_joins(repository, kept_specs, score_base.schema())
+        augmented_full, out_path, stream_stats = self._materialise_kept(
+            score_base,
+            repository,
+            kept_specs,
+            prepared,
+            source=base_source if out_of_core else None,
+            augmented_path=augmented_path,
+        )
+        join_time += time.perf_counter() - join_start
 
         fit_start = time.perf_counter()
         base_score = self._final_score(score_base, target, task)
@@ -463,7 +462,6 @@ class ARDA:
         repository: DataRepository | RepositorySnapshot,
         kept_specs: list[tuple[JoinCandidate, list[int], list[str]]],
         prepared: list[StreamingHashJoin | None],
-        executor,
         source=None,
         augmented_path: str | Path | None = None,
     ) -> tuple[Table, Path | None, dict[str, StreamJoinStats] | None]:
@@ -497,7 +495,6 @@ class ARDA:
                 soft_strategy=config.soft_join,
                 time_resample=config.time_resample,
                 rng=np.random.default_rng(config.random_state),
-                executor=executor,
                 prepared=prepared,
             )
 

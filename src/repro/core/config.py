@@ -298,13 +298,10 @@ class ServingConfig:
         in-flight requests to finish before stopping the workers anyway.
         Also bounds how long one request handler waits for its result before
         answering HTTP 504.
-    executor / n_jobs:
-        Backend each scorer worker replays *soft-key* joins on (see
-        :attr:`ARDAConfig.executor`); results are identical across backends.
-        Hard-key joins probe build sides prepared once per loaded generation,
-        inline, so a join plan without soft keys never uses it.  The default
-        serial executor is right for micro-batches — worker threads already
-        provide the concurrency.
+
+    Each scorer worker replays every kept join inline: hard-key joins probe
+    build sides prepared once per loaded generation, and soft-key joins run
+    their vectorised kernels, so the workers themselves are the concurrency.
     """
 
     host: str = "127.0.0.1"
@@ -316,12 +313,8 @@ class ServingConfig:
     max_request_rows: int = 100_000
     reload_interval_s: float = 2.0
     drain_timeout_s: float = 30.0
-    executor: str = "serial"
-    n_jobs: int | None = None
 
     def __post_init__(self):
-        from repro.core.executor import EXECUTOR_NAMES
-
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.max_batch_rows < 1:
@@ -338,5 +331,3 @@ class ServingConfig:
             raise ValueError("drain_timeout_s must be positive")
         if self.port < 0 or self.port > 65535:
             raise ValueError("port must be in [0, 65535] (0 = ephemeral)")
-        if self.executor not in EXECUTOR_NAMES:
-            raise ValueError(f"executor must be one of {EXECUTOR_NAMES}")

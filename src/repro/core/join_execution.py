@@ -219,7 +219,6 @@ def replay_kept_joins(
     soft_strategy: str = "two_way_nearest",
     time_resample: bool = True,
     rng: np.random.Generator | None = None,
-    executor: JoinExecutor | None = None,
     prepared: list[StreamingHashJoin | None] | None = None,
 ) -> Table:
     """Re-execute a list of kept joins on ``base`` under pinned output names.
@@ -237,40 +236,32 @@ def replay_kept_joins(
     and ``specs``; it is built here when omitted.  A caller that replays
     many bases against one pinned view prepares once and passes it to every
     call, which then pays only the per-row work: a hard-key join probes its
-    prepared build side and gathers inline, and only soft-key joins run on
-    ``executor``.
+    prepared build side and gathers, and a soft-key join runs
+    :func:`execute_join` on the base's key columns.  Every join runs inline,
+    in spec order.
 
     This is the single replay kernel behind both the training-time final
     materialisation (:meth:`repro.core.arda.ARDA.augment_tables`) and the
     serving-time :meth:`repro.serving.FittedPipeline.transform` — train and
     serve cannot drift because they run the same code.  Determinism matches
-    :func:`join_candidates_detailed`: each spec gets the child generator
-    spawned from ``rng`` at its index, so results are byte-identical across
-    executor backends.
+    :func:`join_candidates_detailed`: when the plan has a soft-key join,
+    ``rng`` spawns one child generator per spec and each soft join draws from
+    the child at its index; a plan of hard-key joins draws nothing.
     """
     if prepared is None:
         prepared = prepare_kept_joins(repository, specs, base.schema())
-    soft = [index for index, build in enumerate(prepared) if build is None]
-    soft_added: dict[int, list[Column]] = {}
-    if soft:
-        child_rngs = rng.spawn(len(specs)) if rng is not None else [None] * len(specs)
-        candidates = [specs[index][0] for index in soft]
-        foreigns = [repository.get(candidate.foreign_table) for candidate in candidates]
-        added = _map_candidate_joins(
-            base,
-            foreigns,
-            candidates,
-            soft_strategy,
-            time_resample,
-            [child_rngs[index] for index in soft],
-            executor,
-            [foreign.num_columns for foreign in foreigns],
-        )
-        soft_added = dict(zip(soft, added))
+    child_rngs = [None] * len(specs)
+    if rng is not None and None in prepared:
+        child_rngs = rng.spawn(len(specs))
     out_columns = list(base.columns())
-    for index, ((_candidate, positions, names), build) in enumerate(zip(specs, prepared)):
+    for (candidate, positions, names), build, child in zip(specs, prepared, child_rngs):
         if build is None:
-            kept = [soft_added[index][position] for position in positions]
+            keys = base.select(list(dict.fromkeys(candidate.base_columns)))
+            foreign = repository.get(candidate.foreign_table)
+            added = _contributed_columns(
+                (keys, foreign, candidate, soft_strategy, time_resample, child)
+            )
+            kept = [added[position] for position in positions]
         else:
             # the build side holds exactly the kept columns, in position order
             kept = build.gather(build.probe_chunk(base))

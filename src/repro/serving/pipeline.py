@@ -27,13 +27,13 @@ Determinism contract:
 * ``transform`` applied to the training base table reproduces the training
   design matrix **byte-for-byte** (the replay runs the very kernels training
   ran, seeded identically);
-* predictions are byte-identical across the serial / thread / process join
-  executors (inherited from :func:`repro.core.join_execution.replay_kept_joins`);
-* for a fixed micro-batch size, streaming results are deterministic; note
-  that serve-time *random* draws (categorical imputation of rows with
-  missing values, soft-join tie-breaks) restart their seeded stream per
-  transform call, so a different batching of rows with missing categoricals
-  may impute them differently — each batching is individually deterministic.
+* every kept join replays inline, in the calling thread
+  (:func:`repro.core.join_execution.replay_kept_joins`);
+* each batching is deterministic, but a row's result can depend on the
+  other rows of its call: serve-time *random* draws (categorical imputation
+  of missing values, the two-way soft join's categorical picks) restart
+  their seeded stream per transform call, and a soft time-key join
+  resamples to the granularity of the call's own base timestamps.
 
 Artifacts are validated two ways on load: the container version
 (:class:`~repro.serving.artifact.ArtifactError` on mismatch) and, when bound
@@ -49,7 +49,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.executor import JoinExecutor, make_executor
 from repro.core.join_execution import prepare_kept_joins, replay_kept_joins
 from repro.discovery.candidates import JoinCandidate, KeyPair
 from repro.discovery.repository import DataRepository, RepositorySnapshot
@@ -381,46 +380,35 @@ class FittedPipeline:
         self,
         rows: Table,
         repository: DataRepository | RepositorySnapshot | None = None,
-        executor: str | JoinExecutor = "serial",
-        n_jobs: int | None = None,
     ) -> np.ndarray:
         """Replay joins, imputation and encoding on ``rows``.
 
         Returns the float design matrix with the training feature layout
         (:attr:`feature_names`).  On the training base table this reproduces
-        the training design matrix byte-for-byte; the result is identical
-        across executor backends.  A chunked table source materialises first
-        (the output matrix is whole anyway); use :meth:`iter_transform` to
-        keep the input out-of-core.
+        the training design matrix byte-for-byte.  A chunked table source
+        materialises first (the output matrix is whole anyway); use
+        :meth:`iter_transform` to keep the input out-of-core.
 
         Hard-key joins probe build sides prepared once per bound view (by
         the training run that captured the pipeline, by :meth:`warm`, or
-        else by the first transform), so a call pays only per-row work;
-        ``executor`` runs the soft-key joins, which need the rows themselves.
+        else by the first transform), so a call pays only per-row work; a
+        soft-key join runs its vectorised kernel on the rows themselves,
+        inline like the rest.
         """
         base = self._check_rows(as_chunk_source(rows).table())
         if self.joins:
             repo = self._resolve_repository(repository)
             specs, prepared = self._kept_joins(repo)
-            # only soft-key joins (unprepared) run on the executor and draw
-            # from the generator
-            soft = None in prepared
-            owns_executor = soft and isinstance(executor, str)
-            pool = make_executor(executor, n_jobs) if owns_executor else executor
-            try:
-                joined = replay_kept_joins(
-                    base,
-                    repo,
-                    specs,
-                    soft_strategy=self.soft_strategy,
-                    time_resample=self.time_resample,
-                    rng=np.random.default_rng(self.seed) if soft else None,
-                    executor=pool if soft else None,
-                    prepared=prepared,
-                )
-            finally:
-                if owns_executor:
-                    pool.shutdown()
+            joined = replay_kept_joins(
+                base,
+                repo,
+                specs,
+                soft_strategy=self.soft_strategy,
+                time_resample=self.time_resample,
+                # only soft-key joins (unprepared) draw from the generator
+                rng=np.random.default_rng(self.seed) if None in prepared else None,
+                prepared=prepared,
+            )
         else:
             joined = base
         imputed = self.imputer.transform(joined)
@@ -431,8 +419,6 @@ class FittedPipeline:
         rows: Table,
         repository: DataRepository | RepositorySnapshot | None = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        executor: str | JoinExecutor = "serial",
-        n_jobs: int | None = None,
     ):
         """Stream :meth:`transform` over micro-batches of ``rows``.
 
@@ -442,8 +428,6 @@ class FittedPipeline:
         ``batch_rows`` (times the feature width), not by ``len(rows)``, which
         is what lets a memory-mapped repository table stream through a small
         resident set.
-        The executor pool is created once and shared by every micro-batch
-        (a per-batch pool would pay process-pool startup per batch).
 
         ``rows`` may also be a chunked table source
         (:class:`~repro.relational.persist.ChunkedTableReader`, anything with
@@ -455,29 +439,19 @@ class FittedPipeline:
         if batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
         source = as_chunk_source(rows)
-        owns_executor = isinstance(executor, str) and bool(self.joins)
-        pool = make_executor(executor, n_jobs) if owns_executor else executor
-        try:
-            empty = True
-            for chunk in source.iter_chunks():
-                for start in range(0, chunk.num_rows, batch_rows):
-                    stop = min(start + batch_rows, chunk.num_rows)
-                    empty = False
-                    whole = stop - start == chunk.num_rows
-                    yield self.transform(
-                        chunk if whole else chunk.take(np.arange(start, stop)),
-                        repository=repository,
-                        executor=pool,
-                        n_jobs=n_jobs,
-                    )
-            if empty:
-                # no rows: one empty design matrix with the feature layout
+        empty = True
+        for chunk in source.iter_chunks():
+            for start in range(0, chunk.num_rows, batch_rows):
+                stop = min(start + batch_rows, chunk.num_rows)
+                empty = False
+                whole = stop - start == chunk.num_rows
                 yield self.transform(
-                    source.table(), repository=repository, executor=pool, n_jobs=n_jobs
+                    chunk if whole else chunk.take(np.arange(start, stop)),
+                    repository=repository,
                 )
-        finally:
-            if owns_executor:
-                pool.shutdown()
+        if empty:
+            # no rows: one empty design matrix with the feature layout
+            yield self.transform(source.table(), repository=repository)
 
     def _decode_predictions(self, raw: np.ndarray) -> np.ndarray:
         """Map raw estimator output back to target values.
@@ -498,8 +472,6 @@ class FittedPipeline:
         self,
         rows: Table,
         repository: DataRepository | RepositorySnapshot | None = None,
-        executor: str | JoinExecutor = "serial",
-        n_jobs: int | None = None,
         batch_rows: int | None = None,
     ) -> np.ndarray:
         """Predict the target for serving rows.
@@ -515,17 +487,9 @@ class FittedPipeline:
         if batch_rows is None and not isinstance(rows, Table) and hasattr(rows, "iter_chunks"):
             batch_rows = DEFAULT_BATCH_ROWS
         if batch_rows is not None:
-            parts = list(
-                self.iter_predict(
-                    rows,
-                    repository=repository,
-                    batch_rows=batch_rows,
-                    executor=executor,
-                    n_jobs=n_jobs,
-                )
-            )
+            parts = list(self.iter_predict(rows, repository=repository, batch_rows=batch_rows))
             return np.concatenate(parts) if parts else np.empty(0)
-        X = self.transform(rows, repository=repository, executor=executor, n_jobs=n_jobs)
+        X = self.transform(rows, repository=repository)
         if X.shape[0] == 0:
             return self._decode_predictions(np.empty(0, dtype=np.float64))
         return self._decode_predictions(self.estimator.predict(X))
@@ -535,17 +499,9 @@ class FittedPipeline:
         rows: Table,
         repository: DataRepository | RepositorySnapshot | None = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
-        executor: str | JoinExecutor = "serial",
-        n_jobs: int | None = None,
     ):
         """Stream predictions over micro-batches (see :meth:`iter_transform`)."""
-        for X in self.iter_transform(
-            rows,
-            repository=repository,
-            batch_rows=batch_rows,
-            executor=executor,
-            n_jobs=n_jobs,
-        ):
+        for X in self.iter_transform(rows, repository=repository, batch_rows=batch_rows):
             if X.shape[0] == 0:
                 yield self._decode_predictions(np.empty(0, dtype=np.float64))
             else:

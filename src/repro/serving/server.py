@@ -583,10 +583,7 @@ class PredictionServer:
 
     def _predict_rows(self, pipeline: FittedPipeline, rows: list[dict]) -> list:
         table = rows_to_table(rows, pipeline.base_schema)
-        predictions = pipeline.predict(
-            table, executor=self.config.executor, n_jobs=self.config.n_jobs
-        )
-        return predictions_to_payload(predictions)
+        return predictions_to_payload(pipeline.predict(table))
 
     def _score_jobs(self, jobs: list[_Job]) -> None:
         """Score one coalesced micro-batch; fall back per-job on failure."""

@@ -873,7 +873,6 @@ class TestTableIsOneChunkSource:
             repository,
             specs,
             prepare_kept_joins(repository, specs, base.schema()),
-            executor=None,
             source=open_chunks(tmp_path / "base.tbl"),
             augmented_path=tmp_path / "out.tbl",
         )
@@ -1042,7 +1041,6 @@ class TestKeptJoinsPreparedOnce:
             repository,
             specs,
             prepare_kept_joins(repository, specs, base.schema()),
-            executor=None,
             source=reader,
             augmented_path=tmp_path / "out.tbl",
         )

@@ -347,7 +347,7 @@ class TestFinalMaterialisation:
         kept_specs = [(candidate, [1], ["t.x_r"])]
         prepared = prepare_kept_joins(repo, kept_specs, base.schema())
         out, _path, _stats = ARDA(ARDAConfig())._materialise_kept(
-            base, repo, kept_specs, prepared, SerialJoinExecutor()
+            base, repo, kept_specs, prepared
         )
         assert out.column_names == ["entity_id", "target", "t.x_r"]
         # joined via key2: base entity 0 matches the t row whose key2 is 0 -> x=40

@@ -1,9 +1,17 @@
-"""Tests for hard joins, soft joins, aggregation, resampling, imputation and encoding."""
+"""Tests for hard joins, soft joins, aggregation, resampling, imputation and encoding.
+
+The soft joins are also pinned against the per-row kernels they replaced
+(:mod:`soft_join_reference`) by a property test that is the deep run of CI's
+stress step: under ``-m stress`` with ``ARDA_STRESS`` set it runs
+derandomized, ``ARDA_STRESS / 100`` times tier-1's example count.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import soft_join_reference
+from aggregate_reference import column_bytes
 from repro.relational import (
     Table,
     group_by_aggregate,
@@ -18,7 +26,8 @@ from repro.relational.encoding import encode_features, encode_target, to_design_
 from repro.relational.imputation import missing_fraction
 from repro.relational.join import StreamingHashJoin
 from repro.relational.resample import align_time_granularity, infer_granularity
-from repro.relational.schema import DATETIME
+from repro.relational.schema import CATEGORICAL, DATETIME, NUMERIC
+from stress import deep_settings
 
 
 class TestLeftJoin:
@@ -202,14 +211,96 @@ class TestSoftJoins:
 
     def test_soft_join_requires_numeric_key(self, base_table):
         right = Table.from_dict({"t": [1.0], "v": [1.0]})
-        with pytest.raises(ValueError):
-            nearest_join(base_table, right, "category", "t")
+        for joiner in (nearest_join, two_way_nearest_join):
+            # a categorical key is rejected on either side, before any search
+            with pytest.raises(ValueError, match="numeric or datetime key"):
+                joiner(base_table, right, "category", "t")
+            with pytest.raises(ValueError, match="numeric or datetime key"):
+                joiner(right, base_table, "t", "category")
 
     def test_soft_join_preserves_base_rows(self, rng):
         base = Table.from_dict({"t": rng.uniform(0, 100, size=50)})
         right = Table.from_dict({"t": rng.uniform(0, 100, size=20), "v": rng.normal(size=20)})
         for joiner in (nearest_join, two_way_nearest_join):
             assert joiner(base, right, "t", "t").num_rows == 50
+
+
+def soft_join_sides(seed: int, n_left: int, n_right: int, key_type) -> tuple[Table, Table]:
+    """A left and a right table keyed by ``t``, drawn from one seed.
+
+    Right keys come from a small grid, so they repeat, and include missing
+    and infinite values; left keys hit the grid, fall between and outside
+    it, or are missing or infinite.  Both sides carry a numeric ``v`` (the
+    name collides) and the right side two categoricals, ``c`` and ``d``, each
+    with missing values.
+    """
+    rng = np.random.default_rng(seed)
+    grid = np.sort(rng.choice(np.arange(-8.0, 9.0), size=5, replace=False)) * 3.0
+    right_pool = np.concatenate([grid, grid, [np.nan, np.inf, -np.inf]])
+    left_pool = np.concatenate(
+        [grid, grid + 0.5, [grid[0] - 10.0, grid[-1] + 10.0, np.nan, np.inf, -np.inf]]
+    )
+    left_keys = np.where(
+        rng.random(n_left) < 0.5,
+        rng.choice(left_pool, size=n_left),
+        rng.uniform(grid[0] - 5.0, grid[-1] + 5.0, size=n_left),
+    )
+
+    def values(n: int) -> list:
+        out = rng.normal(size=n)
+        out[rng.random(n) < 0.25] = np.nan
+        return list(out)
+
+    left = Table.from_dict(
+        {"t": list(left_keys), "v": values(n_left)}, types={"t": key_type}, name="left"
+    )
+    labels = np.array(["a", "b", "c", None], dtype=object)
+    right = Table.from_dict(
+        {
+            "t": list(rng.choice(right_pool, size=n_right)),
+            "v": values(n_right),
+            "c": list(labels[rng.integers(0, len(labels), size=n_right)]),
+            "d": list(labels[rng.integers(0, len(labels), size=n_right)]),
+        },
+        types={"t": key_type, "c": CATEGORICAL, "d": CATEGORICAL},
+        name="right",
+    )
+    return left, right
+
+
+def table_bytes(table: Table) -> list[tuple]:
+    return [column_bytes(column) for column in table.columns()]
+
+
+class TestSoftJoinKernels:
+    """The vectorised soft joins against the per-row kernels they replaced."""
+
+    @pytest.mark.stress
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf distances
+    @deep_settings(100)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 40),
+        st.integers(0, 12),
+        st.sampled_from([NUMERIC, DATETIME]),
+    )
+    def test_match_per_row_reference(self, seed, n_left, n_right, key_type):
+        left, right = soft_join_sides(seed, n_left, n_right, key_type)
+        for tolerance in (None, 0.0, 1.5):
+            assert table_bytes(
+                nearest_join(left, right, "t", "t", tolerance=tolerance)
+            ) == table_bytes(
+                soft_join_reference.nearest_join(left, right, "t", "t", tolerance=tolerance)
+            ), tolerance
+        for draw_seed in (0, 1, seed):
+            fast, reference = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+            assert table_bytes(
+                two_way_nearest_join(left, right, "t", "t", rng=fast)
+            ) == table_bytes(
+                soft_join_reference.two_way_nearest_join(left, right, "t", "t", rng=reference)
+            ), draw_seed
+            # the same draws: a caller's generator is left in the same state
+            assert fast.bit_generator.state == reference.bit_generator.state
 
 
 class TestResampling:

@@ -191,7 +191,6 @@ class TestServingConfig:
             {"reload_interval_s": -0.1},
             {"drain_timeout_s": 0.0},
             {"port": 70000},
-            {"executor": "bogus"},
         ],
     )
     def test_invalid_knobs_raise(self, kwargs):

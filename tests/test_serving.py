@@ -10,10 +10,13 @@ Covers the PR-5 acceptance surface:
 * failure modes that must raise instead of mis-serving: artifact version
   mismatch, truncation, repository fingerprint drift, missing tables/columns;
 * serving edge cases: unseen dictionary values, all-missing key columns,
-  empty batches, streaming micro-batches, executor determinism;
+  empty batches, streaming micro-batches;
 * join replay against build sides prepared once per bound view: byte-equal
   to a per-call replay and to the batch-join path, and each duplicate-keyed
   kept table is pre-aggregated once, not once per scored chunk;
+* soft-key joins replayed inline: each transform of a soft plan draws from a
+  generator of its own, so serial and concurrent calls agree byte for byte,
+  and a plan without a soft join makes no generator;
 * estimator state round trips through the page format.
 """
 
@@ -32,6 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 import preprocessing_reference
 import repro.relational.join as join_module
+import repro.serving.pipeline as pipeline_module
 from repro.core.arda import ARDA
 from repro.core.config import ARDAConfig
 from repro.core.join_execution import (
@@ -503,7 +507,7 @@ class TestServingEdgeCases:
         assert X.tobytes() == X_ref.tobytes()
 
 
-class TestStreamingAndExecutors:
+class TestStreaming:
     def test_streaming_concat_matches_manual_batches(self, trained):
         dataset, report = trained
         pipeline = report.pipeline
@@ -520,20 +524,6 @@ class TestStreamingAndExecutors:
         )
         assert np.array_equal(streamed, via_predict)
         assert streamed.shape == (rows.num_rows,)
-
-    def test_predictions_identical_across_executors(self, trained):
-        dataset, report = trained
-        pipeline = report.pipeline
-        rows = dataset.base_table
-        reference = pipeline.predict(rows, repository=dataset.repository)
-        for executor in ("thread", "process"):
-            predictions = pipeline.predict(
-                rows,
-                repository=dataset.repository,
-                executor=executor,
-                n_jobs=2,
-            )
-            assert np.array_equal(reference, predictions), executor
 
 
 # -- prepared join replay -----------------------------------------------------
@@ -683,6 +673,110 @@ class TestPreparedReplay:
             assert reused.column_names == base.column_names + [
                 name for _candidate, _positions, names in specs for name in names
             ]
+
+
+class TestInlineSoftReplay:
+    """A transform makes its own generator, and only when the plan has a soft join."""
+
+    @staticmethod
+    def fit(specs):
+        rng = np.random.default_rng(11)
+        n = 60
+        base = Table.from_dict(
+            {
+                "k": rng.choice([0.0, 1.0, 2.0, 7.0], n),
+                "c": rng.choice(["a", "b", "z"], n).tolist(),
+                "t": rng.uniform(-1.0, 4.0, n),
+                "f": rng.normal(size=n),
+                "y": rng.normal(size=n),
+            },
+            types={**_BASE_TYPES, "y": NUMERIC},
+            name="base",
+        )
+        repository = replay_repository()
+        prepared = prepare_kept_joins(repository, specs, base.schema())
+        pipeline, _X, _y = fit_pipeline_from_training(
+            target="y",
+            task="regression",
+            base_table=base,
+            augmented_table=replay_kept_joins(
+                base, repository, specs, rng=np.random.default_rng(0), prepared=prepared
+            ),
+            kept_specs=specs,
+            repository=repository,
+            prepared=prepared,
+            estimator=RandomForestRegressor(n_estimators=3, random_state=0),
+            seed=0,
+            soft_strategy="two_way_nearest",
+            time_resample=True,
+            max_categories=12,
+        )
+        return pipeline, base.drop("y"), repository
+
+    @staticmethod
+    def spy_on_replay(monkeypatch) -> list:
+        """The generator each transform hands the join replay, in call order."""
+        generators = []
+        original = pipeline_module.replay_kept_joins
+
+        def spy(*args, rng=None, **kwargs):
+            generators.append(rng)
+            return original(*args, rng=rng, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "replay_kept_joins", spy)
+        return generators
+
+    def test_hard_only_plan_makes_no_generator(self, monkeypatch):
+        pipeline, rows, repository = self.fit(
+            [
+                (JoinCandidate("dup", [KeyPair("k", "k")]), [0, 2], ["dup.v1", "dup.v3"]),
+                (JoinCandidate("cat", [KeyPair("c", "c")]), [1], ["cat.w2"]),
+            ]
+        )
+        generators = self.spy_on_replay(monkeypatch)
+        pipeline.transform(rows, repository=repository)
+        pipeline.predict(rows, repository=repository, batch_rows=16)
+        assert len(generators) == 1 + 4
+        assert all(rng is None for rng in generators)
+
+    def test_soft_plan_draws_afresh_per_call_and_thread(self, monkeypatch):
+        specs = [
+            (JoinCandidate("dup", [KeyPair("k", "k")]), [0], ["dup.v1"]),
+            (JoinCandidate("soft", [KeyPair("t", "t", soft=True)]), [0, 1], ["soft.s1", "soft.s2"]),
+        ]
+        pipeline, rows, repository = self.fit(specs)
+        # the replay a transform runs: one generator seeded from the pipeline
+        expected = pipeline.encoder.transform(
+            pipeline.imputer.transform(
+                replay_kept_joins(
+                    rows,
+                    repository,
+                    specs,
+                    soft_strategy="two_way_nearest",
+                    time_resample=True,
+                    rng=np.random.default_rng(pipeline.seed),
+                )
+            )
+        )
+        generators = self.spy_on_replay(monkeypatch)
+        results: list = [pipeline.transform(rows, repository=repository)]
+        start = threading.Barrier(4)
+
+        def transform():
+            start.wait(timeout=60)
+            results.append(pipeline.transform(rows, repository=repository))
+
+        threads = [threading.Thread(target=transform) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert len(results) == 5
+        for X in results:
+            assert X.tobytes() == expected.tobytes()
+        # no generator is shared between calls
+        assert len(generators) == 5
+        assert len({id(rng) for rng in generators}) == 5
 
 
 class TestAggregateOnce:

@@ -1,7 +1,7 @@
 """Docs gate: link-check, API-coverage check and README snippet runner.
 
 Run from the repository root (CI's ``docs`` job, or locally with
-``PYTHONPATH=src python tools/check_docs.py``).  Five checks, all of which
+``PYTHONPATH=src python tools/check_docs.py``).  Six checks, all of which
 must pass:
 
 1. **Links** — every markdown link in ``README.md``, ``docs/*.md`` and
@@ -25,10 +25,16 @@ must pass:
 5. **README snippets** — every fenced ```` ```python ```` block in
    ``README.md`` is executed verbatim, in order, in one shared namespace
    inside a temporary working directory.  The quickstart cannot rot.
+6. **CLI flags** — every ``python -m repro ...`` row of the ``docs/API.md``
+   command-line table names exactly the long flags that
+   ``repro.cli.build_parser()`` defines for its subcommand, in both
+   directions (aliases and nested subcommands resolved, the forms of one row
+   pooled, ``--help`` ignored).
 """
 
 from __future__ import annotations
 
+import argparse
 import inspect
 import re
 import sys
@@ -320,6 +326,60 @@ def check_call_signatures() -> list[str]:
     return failures
 
 
+def _long_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The long options one (sub)command parser defines, ``--help`` aside."""
+    return {
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+
+
+def _subcommand(parser: argparse.ArgumentParser, words: list[str]):
+    """The parser a ``python -m repro`` form's leading words select, or ``None``."""
+    found = None
+    for word in words:
+        subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers or word not in subparsers[0].choices:
+            break
+        parser = found = subparsers[0].choices[word]
+    return found
+
+
+def check_cli_flags() -> list[str]:
+    """Every command-line table row names exactly its subcommand's long flags."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    prefix = "python -m repro "
+    failures: list[str] = []
+    for lineno, line in enumerate(API_REFERENCE.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.startswith(f"| `{prefix}"):
+            continue
+        # a row's first cell; ``\|`` is a pipe inside it, not a cell border
+        forms = _CODE_RE.findall(re.split(r"(?<!\\)\|", line)[1])
+        documented: set[str] = set()
+        defined: set[str] = set()
+        for form in forms:
+            command = _subcommand(parser, form.removeprefix(prefix).split())
+            if command is None:
+                failures.append(f"docs/API.md:{lineno}: `{form}` names no repro subcommand")
+                continue
+            documented |= set(re.findall(r"--[a-z][\w-]*", form))
+            defined |= _long_flags(command)
+        where = f"docs/API.md:{lineno}"
+        failures += [
+            f"{where}: documents {flag}, which the CLI does not define"
+            for flag in sorted(documented - defined)
+        ]
+        failures += [
+            f"{where}: does not document the CLI flag {flag}"
+            for flag in sorted(defined - documented)
+        ]
+    return failures
+
+
 def run_readme_snippets() -> list[str]:
     """Execute every ```python block of README.md in one shared namespace."""
     readme = ROOT / "README.md"
@@ -371,6 +431,8 @@ def main() -> int:
     failures += check_call_signatures()
     print("running README.md python snippets ...")
     failures += run_readme_snippets()
+    print("checking docs/API.md command-line flags against the CLI parser ...")
+    failures += check_cli_flags()
     if failures:
         print(f"\n{len(failures)} docs failure(s):")
         for failure in failures:
@@ -378,7 +440,7 @@ def main() -> int:
         return 1
     print(
         "docs ok: links resolve, API reference covers all exports, "
-        "knob tables and call signatures match the code, snippets run"
+        "knob tables, call signatures and CLI flags match the code, snippets run"
     )
     return 0
 
